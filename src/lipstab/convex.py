@@ -14,18 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleAnchorError, InfeasibleRegionError, NonConvergentError
-from .model import BlockPartition, CharacteristicSet, LinearSystem
+from .model import BlockPartition, LinearSystem
 from .norms import NormSpec, norm_value
-from .solvers.minnorm import min_norm_sliced_hull
 from .solvers.projection import project_polyhedron
 from .solvers.simplex import StatusKind, lp_solve_nonneg
-from .stability import (
-    REGIME_REGULAR,
-    REGIME_SLATER,
-    REGIME_SSC_FAILS,
-    LipReport,
-    check_ssc,
-)
+from .stability import REGIME_SSC_FAILS, LipReport, lip_bound
 
 FY_TOL = 1e-9
 
@@ -304,22 +297,6 @@ def _merge(lin: LinearizedSystem, extra: LinearizedSystem) -> LinearizedSystem:
     )
 
 
-def _slice_bound(lin: LinearizedSystem, anchor, tol):
-    """lip bound of the sampled linearization at the anchor."""
-    if not check_ssc(lin.system, tol).holds:
-        return LipReport(np.inf, REGIME_SSC_FAILS)
-    gens = CharacteristicSet(
-        lin.system.coefficient_matrix(), lin.system.rhs_vector(), lin.system.labels
-    )
-    result = min_norm_sliced_hull(gens, anchor, lin.system.norm, feas_tol=tol,
-                                  canonicalize=False)
-    if result.status is StatusKind.NO_INTERSECTION:
-        return LipReport(0.0, REGIME_SLATER)
-    bound = np.inf if result.value <= 0.0 else 1.0 / result.value
-    return LipReport(bound, REGIME_REGULAR, result.point, result.weights,
-                     result.value)
-
-
 def lip_bound_convex(fs, anchor, cfg: CutConfig = CutConfig(),
                      norm: NormSpec = NormSpec(), tol: float = FY_TOL,
                      block_labels=None) -> ConvexLipReport:
@@ -339,7 +316,7 @@ def lip_bound_convex(fs, anchor, cfg: CutConfig = CutConfig(),
             raise InfeasibleAnchorError(
                 f"anchor violates convex inequality {j} by {v:g}")
     lin = linearize(fs, cfg, anchor, norm, block_labels)
-    report = _slice_bound(lin, anchor, tol)
+    report = lip_bound(lin.system, anchor, tol)
     history = [report.bound]
     if report.regime == REGIME_SSC_FAILS:
         return ConvexLipReport(np.inf, REGIME_SSC_FAILS, tuple(history), True, lin)
@@ -349,7 +326,7 @@ def lip_bound_convex(fs, anchor, cfg: CutConfig = CutConfig(),
         extra = linearize(fs, cfg, anchor, norm, block_labels, round_idx=round_idx,
                           centers_per_block=centers, extra_budget=cfg.refine_budget)
         lin = _merge(lin, extra)
-        report = _slice_bound(lin, anchor, tol)
+        report = lip_bound(lin.system, anchor, tol)
         history.append(report.bound)
         if report.regime == REGIME_SSC_FAILS:
             return ConvexLipReport(np.inf, REGIME_SSC_FAILS, tuple(history), True, lin)

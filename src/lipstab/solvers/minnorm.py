@@ -169,49 +169,8 @@ def _polish_sliced(A, g, lam, support_tol=1e-10):
     return full
 
 
-def _canonical_support(A, g, value_point, lam, sliced: bool):
-    """Reduce the support toward the lexicographically smallest one.
-
-    Drops higher-index atoms first whenever the optimal hull point stays
-    representable; a tie-break documented for reproducibility, with no
-    semantic content.  Skipped for large generator counts.
-    """
-    m = A.shape[0]
-    if m > 64:
-        return lam
-    n = A.shape[1]
-
-    def representable(allowed):
-        idx = sorted(allowed)
-        if not idx:
-            return None
-        eq = [A[idx].T[k] for k in range(n)]
-        rhs = list(value_point)
-        eq.append(np.ones(len(idx)))
-        rhs.append(1.0)
-        if sliced:
-            eq.append(g[idx])
-            rhs.append(0.0)
-        status, w = lp_solve_nonneg(np.zeros(len(idx)), None, None,
-                                    np.array(eq), np.array(rhs))
-        if status.optimal and float(np.abs(A[idx].T @ w - value_point).max()) < 1e-7:
-            return w
-        return None
-
-    allowed = set(np.where(lam > 1e-12)[0])
-    best = lam
-    for t in sorted(allowed, reverse=True):
-        trial = allowed - {t}
-        w = representable(trial)
-        if w is not None:
-            allowed = trial
-            best = np.zeros(m)
-            best[sorted(allowed)] = w
-    return best
-
-
 def min_norm_sliced_hull(generators, anchor, norm: NormSpec = NormSpec(),
-                         feas_tol: float = 1e-9, canonicalize: bool = True):
+                         feas_tol: float = 1e-9):
     """min ||u||_dual over hull points (u, a) of the generators with <u, anchor> = a.
 
     The slice constraint sum(lam_t g_t) = 0 with g_t = <a_t, anchor> - beta_t
@@ -219,7 +178,9 @@ def min_norm_sliced_hull(generators, anchor, norm: NormSpec = NormSpec(),
     the active generators); mixed signs fall back to a quadratic penalty
     homotopy polished by an exact KKT step.  Status NoIntersection means the
     slice is empty: for a feasible anchor that makes it a strong Slater
-    point of the generator system.
+    point of the generator system.  Otherwise the point is u = A^T weights
+    and the value ||u||_dual; when several supports give the same point, the
+    solver's weights are returned as found.
     """
     A = np.atleast_2d(np.asarray(generators.coefficients, dtype=float))
     beta = np.asarray(generators.offsets, dtype=float)
@@ -236,34 +197,24 @@ def min_norm_sliced_hull(generators, anchor, norm: NormSpec = NormSpec(),
         return MinNormResult(StatusKind.NO_INTERSECTION, np.inf, None, None, 0.0, 0)
 
     dual_kind = norm.dual().kind
+    kkt, iters = 0.0, 0
     if not (has_neg and has_pos):
         idx = np.where(active)[0]
-        sub = A[idx]
         if dual_kind == "euclid":
-            value, u, w_sub, kkt, iters = min_norm_point(sub)
+            _, _, w_sub, kkt, iters = min_norm_point(A[idx])
         else:
-            value, w_sub = _lp_min_dual_norm(sub, dual_kind)
-            u = sub.T @ w_sub
-            kkt, iters = 0.0, 0
+            _, w_sub = _lp_min_dual_norm(A[idx], dual_kind)
         weights = np.zeros(m)
         weights[idx] = w_sub
+    elif dual_kind == "euclid":
+        weights, _, iters = _penalty_homotopy(A, g)
     else:
-        if dual_kind == "euclid":
-            weights, u, iters = _penalty_homotopy(A, g)
-            value = float(np.linalg.norm(u))
-            kkt = 0.0
-        else:
-            value, weights = _lp_min_dual_norm(A, dual_kind, eq_rows=[g], eq_rhs=[0.0])
-            if value is None:
-                return MinNormResult(StatusKind.NO_INTERSECTION, np.inf, None, None, 0.0, 0)
-            u = A.T @ weights
-            kkt, iters = 0.0, 0
+        _, weights = _lp_min_dual_norm(A, dual_kind, eq_rows=[g], eq_rhs=[0.0])
+        if weights is None:
+            return MinNormResult(StatusKind.NO_INTERSECTION, np.inf, None, None, 0.0, 0)
 
-    if canonicalize:
-        weights = _canonical_support(A, g, u, weights, sliced=True)
-        u = A.T @ weights
-        value = norm_value(dual_kind, u)
-    return MinNormResult(StatusKind.OPTIMAL, value, weights, u, kkt, iters)
+    u = A.T @ weights
+    return MinNormResult(StatusKind.OPTIMAL, norm_value(dual_kind, u), weights, u, kkt, iters)
 
 
 def _penalty_homotopy(A, g, target: float = 1e-10, max_rounds: int = 120):

@@ -17,8 +17,7 @@ from .simplex import StatusKind, lp_solve
 
 def _feasible_point(A, b):
     """Phase-1 LP witness that {A y <= b} is nonempty, or None."""
-    n = A.shape[1]
-    status, x = lp_solve(np.zeros(n), [(A[i], "<=", b[i]) for i in range(len(b))])
+    status, x = lp_solve(np.zeros(A.shape[1]), A, b)
     if status.kind is StatusKind.INFEASIBLE:
         return None
     return x
@@ -74,38 +73,32 @@ def _project_euclid(x, A, b, start, maxiter):
 
 
 def _project_lp(x, A, b, kind):
+    """Epigraph LP: y in the polyhedron and +-(y_i - x_i) <= s_i.
+
+    l1 has variables (y, s in R^n) and minimizes sum s; linf has one bound
+    s shared by every coordinate.
+    """
     m, n = A.shape
-    cons = []
+    i = np.arange(n)
+    nv = 2 * n if kind == "l1" else n + 1
+    c = np.zeros(nv)
+    c[n:] = 1.0
+    box = np.zeros((2 * n, nv))
+    box[2 * i, i] = 1.0
+    box[2 * i + 1, i] = -1.0
     if kind == "l1":
-        # variables (y, s in R^n), minimize sum s, |y - x| <= s componentwise
-        nv = 2 * n
-        c = np.concatenate([np.zeros(n), np.ones(n)])
-        for i in range(m):
-            cons.append((np.concatenate([A[i], np.zeros(n)]), "<=", b[i]))
-        for i in range(n):
-            e = np.zeros(nv)
-            e[i], e[n + i] = 1.0, -1.0
-            cons.append((e, "<=", x[i]))
-            e2 = np.zeros(nv)
-            e2[i], e2[n + i] = -1.0, -1.0
-            cons.append((e2, "<=", -x[i]))
-    else:  # linf
-        nv = n + 1
-        c = np.zeros(nv)
-        c[n] = 1.0
-        for i in range(m):
-            cons.append((np.concatenate([A[i], [0.0]]), "<=", b[i]))
-        for i in range(n):
-            e = np.zeros(nv)
-            e[i], e[n] = 1.0, -1.0
-            cons.append((e, "<=", x[i]))
-            e2 = np.zeros(nv)
-            e2[i], e2[n] = -1.0, -1.0
-            cons.append((e2, "<=", -x[i]))
-    status, z = lp_solve(c, cons)
+        box[2 * i, n + i] = -1.0
+        box[2 * i + 1, n + i] = -1.0
+    else:
+        box[:, n] = -1.0
+    box_rhs = np.empty(2 * n)
+    box_rhs[0::2] = x
+    box_rhs[1::2] = -x
+    A_ub = np.vstack([np.hstack([A, np.zeros((m, nv - n))]), box])
+    status, z = lp_solve(c, A_ub, np.concatenate([b, box_rhs]))
     if not status.optimal:
         raise NonConvergentError(f"projection LP ended with {status.kind}")
-    return float(c @ z), z[:A.shape[1]]
+    return float(c @ z), z[:n]
 
 
 def project_polyhedron(x, rows, norm: NormSpec = NormSpec(), check_feasible: bool = True,

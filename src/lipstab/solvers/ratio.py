@@ -15,23 +15,50 @@ from __future__ import annotations
 import numpy as np
 
 from ..norms import NormSpec
-from .simplex import StatusKind, lp_solve_nonneg
+from .simplex import lp_solve_nonneg
 
 _INNER_CAP = 50_000
 _OUTER_CAP = 80
 
 
-def _zero_face_floor(A, alpha):
-    """min alpha.lam over simplex weights with A^T lam = 0, or None if no such lam."""
+def zero_face_floor(A, alpha) -> float:
+    """min alpha.lam over simplex weights with A^T lam = 0; +inf if none exist.
+
+    A nonpositive floor means co{(a_t, alpha_t)} meets {0} x (-inf, 0].
+    """
     m, n = A.shape
     eq = np.vstack([A.T, np.ones((1, m))])
     rhs = np.concatenate([np.zeros(n), [1.0]])
     status, lam = lp_solve_nonneg(alpha, None, None, eq, rhs)
-    if status.kind is StatusKind.INFEASIBLE:
-        return None
     if not status.optimal:
-        return None
+        return np.inf
     return float(alpha @ lam)
+
+
+def dual_ball_lp(A, c, dual_kind):
+    """max c.mu over mu >= 0 with ||A^T mu||_dual <= 1, for dual l1 or linf.
+
+    Returns (status, mu) of the minimization of -c.mu; mu is None unless
+    the LP returned a point.  The l1 ball uses auxiliary s >= 0 with
+    +-(A^T mu)_k <= s_k and sum s <= 1.
+    """
+    m, n = A.shape
+    if dual_kind == "linf":
+        status, z = lp_solve_nonneg(-c, np.vstack([A.T, -A.T]), np.ones(2 * n))
+    else:
+        k = np.arange(n)
+        ub = np.zeros((2 * n + 1, m + n))
+        ub[0:2 * n:2, :m] = A.T
+        ub[1:2 * n:2, :m] = -A.T
+        ub[2 * k, m + k] = -1.0
+        ub[2 * k + 1, m + k] = -1.0
+        ub[2 * n, m:] = 1.0
+        rhs = np.zeros(2 * n + 1)
+        rhs[2 * n] = 1.0
+        cost = np.zeros(m + n)
+        cost[:m] = -c
+        status, z = lp_solve_nonneg(cost, ub, rhs)
+    return status, None if z is None else z[:m]
 
 
 def _line_search(cd, rho, q0, q1, q2, gmax):
@@ -126,8 +153,7 @@ def max_ratio_over_hull(generators, x, norm: NormSpec = NormSpec(),
 
     norms_a = np.linalg.norm(A, axis=1)
     if np.any(norms_a < 1e-300):
-        floor = _zero_face_floor(A, alpha)
-        if floor is not None and floor < -1e-12 * (1.0 + float(np.abs(alpha).max())):
+        if zero_face_floor(A, alpha) < -1e-12 * (1.0 + float(np.abs(alpha).max())):
             return np.inf
     if np.all(norms_a < 1e-300):
         return 0.0
@@ -137,37 +163,10 @@ def max_ratio_over_hull(generators, x, norm: NormSpec = NormSpec(),
     dual_kind = norm.dual().kind
     if dual_kind != "euclid":
         # homogenized LP: max c.mu, mu >= 0, ||A^T mu||_dual <= 1
-        n = A.shape[1]
-        if dual_kind == "linf":
-            ub = np.vstack([A.T, -A.T])
-            rhs = np.ones(2 * n)
-            status, mu = lp_solve_nonneg(-c, ub, rhs)
-        else:  # dual l1: sum_k |(A^T mu)_k| <= 1 via auxiliary s
-            nv = m + n
-            cost = np.zeros(nv)
-            cost[:m] = -c
-            ub_rows = []
-            ub_rhs = []
-            for k in range(n):
-                e = np.zeros(nv)
-                e[:m] = A[:, k]
-                e[m + k] = -1.0
-                ub_rows.append(e.copy())
-                ub_rhs.append(0.0)
-                e2 = np.zeros(nv)
-                e2[:m] = -A[:, k]
-                e2[m + k] = -1.0
-                ub_rows.append(e2)
-                ub_rhs.append(0.0)
-            srow = np.concatenate([np.zeros(m), np.ones(n)])
-            ub_rows.append(srow)
-            ub_rhs.append(1.0)
-            status, mu = lp_solve_nonneg(cost, np.array(ub_rows), np.array(ub_rhs))
-        if status.kind is StatusKind.UNBOUNDED:
-            return np.inf
+        status, mu = dual_ball_lp(A, c, dual_kind)
         if not status.optimal:
             return np.inf
-        return max(float(c @ mu[:m]), 0.0)
+        return max(float(c @ mu), 0.0)
 
     # Dinkelbach on the Euclidean ratio
     with np.errstate(divide="ignore", invalid="ignore"):

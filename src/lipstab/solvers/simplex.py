@@ -2,8 +2,9 @@
 
 Self-contained on purpose: desk-scale problems, deterministic pivoting
 (Dantzig with lowest-index ties, Bland fallback on stall), explicit basis
-inverse with periodic refactorization.  Variables in the public interface
-are free; nonnegative-variable programs use the internal wrapper.
+inverse with periodic refactorization.  lp_solve_nonneg is the only
+builder of the standard form; lp_solve handles free variables by
+splitting them into nonnegative parts.
 """
 from __future__ import annotations
 
@@ -198,76 +199,47 @@ def solve_standard(c, A, b, seed_cols, maxiter=DEFAULT_MAXITER):
     return SolveStatus(StatusKind.OPTIMAL, tab.iterations), tab.solution()[:N], duals
 
 
-def _canonical_rows(constraints):
-    """Normalize to <=/== form: returns (a, rhs, is_eq) triples."""
-    rows = []
-    for a, rel, rhs in constraints:
-        a = np.asarray(a, dtype=float)
-        if rel in ("<=", "le"):
-            rows.append((a, float(rhs), False))
-        elif rel in (">=", "ge"):
-            rows.append((-a, -float(rhs), False))
-        elif rel in ("==", "=", "eq"):
-            rows.append((a, float(rhs), True))
-        else:
-            raise ValueError(f"unknown relation {rel!r}")
-    return rows
+def lp_solve(objective, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
+             maxiter=DEFAULT_MAXITER):
+    """Minimize objective . x over free x with A_ub x <= b_ub, A_eq x = b_eq.
 
-
-def lp_solve(objective, constraints, maxiter=DEFAULT_MAXITER):
-    """Minimize objective . x over free x subject to linear constraints.
-
-    ``constraints`` is a list of (vector, relation, scalar) with relation in
-    {"<=", ">=", "=="}.  Returns (SolveStatus, x); x is None unless the
-    status is Optimal or Unbounded (then x is the last feasible iterate and
-    the certificate holds an improving ray).
+    Either block may be omitted (None).  Solved as the nonnegative program
+    over the split x = w+ - w-.  Returns (SolveStatus, x); x is None unless
+    the status is Optimal or Unbounded (then x is the last feasible iterate
+    and the certificate holds an improving ray).  An Infeasible status
+    carries the Farkas certificate of lp_solve_nonneg, which for free x has
+    y^T [A_ub; A_eq] = 0.
     """
     c = np.asarray(objective, dtype=float)
     n = c.shape[0]
-    rows = _canonical_rows(constraints)
-    m = len(rows)
-    n_slack = sum(0 if is_eq else 1 for _, _, is_eq in rows)
-    N = 2 * n + n_slack
-    A = np.zeros((m, N))
-    b = np.zeros(m)
-    seed = np.full(m, -1, dtype=int)
-    flip = np.ones(m)
-    si = 0
-    for i, (a, rhs, is_eq) in enumerate(rows):
-        A[i, :n] = a
-        A[i, n : 2 * n] = -a
-        if not is_eq:
-            A[i, 2 * n + si] = 1.0
-        b[i] = rhs
-        if rhs < 0:
-            A[i] = -A[i]
-            b[i] = -rhs
-            flip[i] = -1.0
-        elif not is_eq:
-            seed[i] = 2 * n + si
-        if not is_eq:
-            si += 1
 
-    cost = np.concatenate([c, -c, np.zeros(n_slack)])
-    status, z, duals = solve_standard(cost, A, b, seed, maxiter)
-    if status.kind is StatusKind.INFEASIBLE:
-        # Farkas certificate for the canonical <=/== rows: y with
-        # y >= 0 on inequalities, sum y_i a_i = 0 and sum y_i rhs_i < 0.
-        y = -flip * status.certificate if status.certificate is not None else None
-        return SolveStatus(status.kind, status.iterations, y), None
-    if z is None:
+    def split(M):
+        if M is None:
+            return None
+        M = np.atleast_2d(np.asarray(M, dtype=float))
+        return np.hstack([M, -M])
+
+    status, w = lp_solve_nonneg(np.concatenate([c, -c]), split(A_ub), b_ub,
+                                split(A_eq), b_eq, maxiter)
+    if w is None:
         return status, None
-    x = z[:n] - z[n : 2 * n]
+    x = w[:n] - w[n:]
     if status.kind is StatusKind.UNBOUNDED:
         ray = status.certificate
-        ray_x = ray[:n] - ray[n : 2 * n]
-        return SolveStatus(status.kind, status.iterations, ray_x), x
-    return SolveStatus(status.kind, status.iterations, None), x
+        return SolveStatus(status.kind, status.iterations, ray[:n] - ray[n:]), x
+    return status, x
 
 
 def lp_solve_nonneg(objective, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
                     maxiter=DEFAULT_MAXITER):
-    """Minimize objective . w for w >= 0 with A_ub w <= b_ub, A_eq w = b_eq."""
+    """Minimize objective . w for w >= 0 with A_ub w <= b_ub, A_eq w = b_eq.
+
+    The one builder of standard-form programs: slacks are appended for the
+    A_ub rows and rows with negative rhs are negated.  Returns
+    (SolveStatus, w) as lp_solve does.  An Infeasible status carries a
+    Farkas certificate y over the caller's rows, A_ub rows first: y >= 0 on
+    the A_ub rows, y^T [A_ub; A_eq] >= 0 and y . [b_ub; b_eq] < 0.
+    """
     c = np.asarray(objective, dtype=float)
     n = c.shape[0]
     ub = (np.zeros((0, n)), np.zeros(0)) if A_ub is None else (
@@ -279,20 +251,22 @@ def lp_solve_nonneg(objective, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     N = n + m_ub
     A = np.zeros((m, N))
     b = np.zeros(m)
-    seed = np.full(m, -1, dtype=int)
     A[:m_ub, :n] = ub[0]
     A[:m_ub, n:] = np.eye(m_ub)
     b[:m_ub] = ub[1]
     A[m_ub:, :n] = eq[0]
     b[m_ub:] = eq[1]
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = -A[i]
-            b[i] = -b[i]
-        elif i < m_ub:
-            seed[i] = n + i
+    flip = np.where(b < 0, -1.0, 1.0)
+    A *= flip[:, None]
+    b *= flip
+    seed = np.full(m, -1, dtype=int)
+    slack_seeded = flip[:m_ub] > 0
+    seed[:m_ub][slack_seeded] = n + np.arange(m_ub)[slack_seeded]
     cost = np.concatenate([c, np.zeros(m_ub)])
     status, z, _ = solve_standard(cost, A, b, seed, maxiter)
+    if status.kind is StatusKind.INFEASIBLE:
+        # phase-1 duals pi have pi.b > 0 and pi.A <= 0 on the flipped rows
+        return SolveStatus(status.kind, status.iterations, -flip * status.certificate), None
     if z is None:
         return status, None
     w = z[:n]

@@ -31,7 +31,7 @@ from .model import (
     validated,
 )
 from .solvers.minnorm import min_norm_point, min_norm_sliced_hull
-from .solvers.ratio import max_ratio_over_hull
+from .solvers.ratio import dual_ball_lp, max_ratio_over_hull, zero_face_floor
 from .solvers.simplex import StatusKind, lp_solve, lp_solve_nonneg
 
 REGIME_SLATER = "SlaterPoint"
@@ -111,8 +111,7 @@ def check_ssc(system: LinearSystem, tol: float = FEAS_TOL) -> SSCReport:
 
     objective = np.zeros(n + 1)
     objective[n] = 1.0
-    cons = [(np.concatenate([A[i], [-1.0]]), "<=", b[i]) for i in range(m)]
-    status, z = lp_solve(objective, cons)
+    status, z = lp_solve(objective, np.hstack([A, -np.ones((m, 1))]), b)
     if status.kind is StatusKind.ITER_LIMIT:
         raise NonConvergentError("SSC LP hit the pivot cap")
     if status.kind is StatusKind.UNBOUNDED:
@@ -126,7 +125,7 @@ def check_ssc(system: LinearSystem, tol: float = FEAS_TOL) -> SSCReport:
     lp_holds = margin < -tol
 
     hull_gap, _, _, _, _ = min_norm_point(np.hstack([A, b[:, None]]))
-    floor = _zero_face_floor(A, b)
+    floor = zero_face_floor(A, b)
     hull_holds = hull_gap > tol and floor > tol
 
     if lp_holds != hull_holds:
@@ -143,17 +142,6 @@ def check_ssc(system: LinearSystem, tol: float = FEAS_TOL) -> SSCReport:
         hull_holds=hull_holds,
         zero_face_floor=floor,
     )
-
-
-def _zero_face_floor(A, b) -> float:
-    """min b.lam over simplex weights with A^T lam = 0; +inf if none exist."""
-    m, n = A.shape
-    eq = np.vstack([A.T, np.ones((1, m))])
-    rhs = np.concatenate([np.zeros(n), [1.0]])
-    status, lam = lp_solve_nonneg(b, None, None, eq, rhs)
-    if not status.optimal:
-        return np.inf
-    return float(b @ lam)
 
 
 def _require_anchor(system: LinearSystem, anchor, tol: float) -> np.ndarray:
@@ -259,33 +247,6 @@ def _certificate(mu, assign, n_blocks, A, b, anchor) -> CoderivCertificate:
     return CoderivCertificate(mu, p_star, x_star, anchor_residual)
 
 
-def _dual_ball_rows(A_act, dual_kind):
-    """Polyhedral description of {mu : ||A^T mu||_dual <= 1} for l1/linf duals."""
-    k, n = A_act.shape
-    if dual_kind == "linf":
-        ub = np.vstack([A_act.T, -A_act.T])
-        return ub, np.ones(2 * n), k
-    # dual l1 via auxiliary s: +-(A^T mu)_i <= s_i, sum s <= 1
-    nv = k + n
-    rows = []
-    rhs = []
-    for i in range(n):
-        e = np.zeros(nv)
-        e[:k] = A_act[:, i]
-        e[k + i] = -1.0
-        rows.append(e.copy())
-        rhs.append(0.0)
-        e2 = np.zeros(nv)
-        e2[:k] = -A_act[:, i]
-        e2[k + i] = -1.0
-        rows.append(e2)
-        rhs.append(0.0)
-    cap = np.concatenate([np.zeros(k), np.ones(n)])
-    rows.append(cap)
-    rhs.append(1.0)
-    return np.array(rows), np.array(rhs), nv
-
-
 def coderivative_norm(system: LinearSystem, partition: BlockPartition, anchor,
                       tol: float = FEAS_TOL, max_cuts: int = 3000) -> CoderivNormReport:
     """sup { sum mu_t : mu >= 0, ||sum mu_t a_t||_dual <= 1, anchor identity }.
@@ -315,19 +276,14 @@ def coderivative_norm(system: LinearSystem, partition: BlockPartition, anchor,
         return CoderivNormReport(0.0, cert, lip.bound)
 
     A_act = A[active]
-    k = active.size
     dual_kind = system.norm.dual().kind
     if dual_kind != "euclid":
-        ub, rhs, nv = _dual_ball_rows(A_act, dual_kind)
-        cost = np.zeros(nv)
-        cost[:k] = -1.0
-        status, mu_act = lp_solve_nonneg(cost, ub, rhs)
+        status, mu_full = dual_ball_lp(A_act, np.ones(active.size), dual_kind)
         if status.kind is StatusKind.UNBOUNDED:
             value = np.inf
             mu_full = None
         elif status.optimal:
-            value = float(mu_act[:k].sum())
-            mu_full = mu_act[:k]
+            value = float(mu_full.sum())
         else:
             raise NonConvergentError(f"coderivative norm LP ended with {status.kind}")
     else:
