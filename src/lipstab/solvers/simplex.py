@@ -1,10 +1,10 @@
 """Dense two-phase revised simplex for small/medium LPs.
 
 Self-contained on purpose: desk-scale problems, deterministic pivoting
-(Dantzig with lowest-index ties, Bland fallback on stall), explicit basis
-inverse with periodic refactorization.  lp_solve_nonneg is the only
-builder of the standard form; lp_solve handles free variables by
-splitting them into nonnegative parts.
+(Dantzig entering, largest pivot among tied leaving rows, Bland fallback on
+stall), explicit basis inverse with periodic refactorization.
+lp_solve_nonneg is the only builder of the standard form; lp_solve handles
+free variables by splitting them into nonnegative parts.
 """
 from __future__ import annotations
 
@@ -120,7 +120,8 @@ class _Tableau:
             if bland:
                 leave = int(ties[np.argmin(self.basis[ties])])
             else:
-                leave = int(ties[0])
+                # largest pivot entry among the tied rows keeps B well conditioned
+                leave = int(ties[np.argmax(d[ties])])
             self._pivot(leave, enter, d)
 
             obj = float(cost[self.basis] @ self.xB)

@@ -11,6 +11,7 @@ from conftest import (
 )
 from lipstab.errors import InfeasibleAnchorError, SSCViolatedError
 from lipstab.model import BlockPartition, LinearSystem, Perturbation
+from lipstab.norms import NormSpec
 from lipstab.solvers.projection import project_polyhedron
 from lipstab.stability import (
     check_ssc,
@@ -230,6 +231,21 @@ class TestCoderivativeNorm:
         cert = rep.certificate
         assert -sum(cert.p_star) == pytest.approx(rep.value, rel=1e-7)
         assert np.linalg.norm(cert.x_star) <= 1.0 + 1e-7
+
+    def test_linf_dual_ball_with_tied_ratio_rows(self):
+        # n = 20, m = 300 boundary system, third draw of this generator.  Its
+        # dual-ball LP has tied leaving rows, one with pivot entry ~1e-11;
+        # pivoting on that one made the basis singular.
+        rng = np.random.default_rng((21, 0, 1))
+        for m in (500, 1000, 300):
+            A = rng.normal(size=(m, 20))
+            x0 = rng.normal(size=20) * 0.5
+            slack = np.concatenate([np.zeros(8), rng.uniform(0.3, 2.0, size=m - 8)])
+        b = A @ x0 + slack
+        rows = tuple((f"t{i}", A[i], float(b[i])) for i in range(m))
+        system = LinearSystem(20, rows, NormSpec("linf"))
+        rep = coderivative_norm(system, BlockPartition.maximum(system.labels), x0)
+        assert rep.value == pytest.approx(lip_bound(system, x0).bound, rel=1e-6)
 
 
 class TestEpsActive:
