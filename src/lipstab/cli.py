@@ -8,6 +8,7 @@ Document-producing commands (demo, linearize) print clean JSON for piping.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -45,6 +46,8 @@ from .stability import (
 _VALIDATION_ERRORS = (SchemaError, ValidationError, InfeasibleAnchorError,
                       SSCViolatedError, InfeasibleRegionError, ValueError)
 _CONVERGENCE_ERRORS = (NonConvergentError, OrderingViolationError, RetryExhaustedError)
+_VECTOR_FLAGS = ("--anchor", "--p")
+_LEADING_MINUS = re.compile(r"-\.?\d")
 
 
 def _parse_vector(text, name):
@@ -352,9 +355,24 @@ def build_parser():
     return parser
 
 
+def _attach_vector_values(argv):
+    """Rewrite '--anchor -0.3,0.1' as '--anchor=-0.3,0.1'.
+
+    argparse reads a value that starts with '-' and is not one plain number
+    as a new flag.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] in _VECTOR_FLAGS and _LEADING_MINUS.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def run_cli(argv) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_vector_values(argv))
     try:
         return args.func(args)
     except _VALIDATION_ERRORS as exc:

@@ -83,6 +83,16 @@ class TestVerdictLines:
         assert code == 0
         assert last_line(out).startswith("dist=1.58113883008418")
 
+    def test_negative_vectors_after_a_space(self, demo3, capsys):
+        for cmd, vectors in (("lip", [("--anchor", "-0.3,0.3")]),
+                             ("dist", [("--anchor", "-0.5,0.5"), ("--p", "-0.1,0.2,0,0")])):
+            spaced = [a for flag, v in vectors for a in (flag, v)]
+            joined = [f"{flag}={v}" for flag, v in vectors]
+            code_s, out_s = run([cmd, "--system", demo3] + spaced, capsys=capsys)
+            code_j, out_j = run([cmd, "--system", demo3] + joined, capsys=capsys)
+            assert code_s == code_j == 0
+            assert out_s == out_j
+
     def test_convex_lip(self, capsys):
         code, out = run(["demo", "convex-square-shifted"], capsys=capsys)
         doc_text = out
