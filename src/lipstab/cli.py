@@ -46,8 +46,6 @@ from .stability import (
 _VALIDATION_ERRORS = (SchemaError, ValidationError, InfeasibleAnchorError,
                       SSCViolatedError, InfeasibleRegionError, ValueError)
 _CONVERGENCE_ERRORS = (NonConvergentError, OrderingViolationError, RetryExhaustedError)
-_VECTOR_FLAGS = ("--anchor", "--p")
-_LEADING_MINUS = re.compile(r"-\.?\d")
 
 
 def _parse_vector(text, name):
@@ -355,24 +353,14 @@ def build_parser():
     return parser
 
 
-def _attach_vector_values(argv):
-    """Rewrite '--anchor -0.3,0.1' as '--anchor=-0.3,0.1'.
-
-    argparse reads a value that starts with '-' and is not one plain number
-    as a new flag.
-    """
-    out = []
-    for arg in argv:
-        if out and out[-1] in _VECTOR_FLAGS and _LEADING_MINUS.match(arg):
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
-
-
 def run_cli(argv) -> int:
+    # argparse reads "--anchor -0.3,0.1" as two flags: attach such values
+    argv = list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--anchor", "--p") and re.match(r"-\.?\d", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     parser = build_parser()
-    args = parser.parse_args(_attach_vector_values(argv))
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except _VALIDATION_ERRORS as exc:

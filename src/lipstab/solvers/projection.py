@@ -73,11 +73,8 @@ def _project_euclid(x, A, b, start, maxiter):
 
 
 def _project_lp(x, A, b, kind):
-    """Epigraph LP: y in the polyhedron and +-(y_i - x_i) <= s_i.
-
-    l1 has variables (y, s in R^n) and minimizes sum s; linf has one bound
-    s shared by every coordinate.
-    """
+    """Epigraph LP over (y, s): min sum s with +-(y_i - x_i) <= s, s in R^n
+    for l1 and s in R for linf."""
     m, n = A.shape
     i = np.arange(n)
     nv = 2 * n if kind == "l1" else n + 1

@@ -215,10 +215,7 @@ def lp_solve(objective, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     n = c.shape[0]
 
     def split(M):
-        if M is None:
-            return None
-        M = np.atleast_2d(np.asarray(M, dtype=float))
-        return np.hstack([M, -M])
+        return None if M is None else np.hstack([M, np.negative(M)])
 
     status, w = lp_solve_nonneg(np.concatenate([c, -c]), split(A_ub), b_ub,
                                 split(A_eq), b_eq, maxiter)
@@ -235,11 +232,9 @@ def lp_solve_nonneg(objective, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
                     maxiter=DEFAULT_MAXITER):
     """Minimize objective . w for w >= 0 with A_ub w <= b_ub, A_eq w = b_eq.
 
-    The one builder of standard-form programs: slacks are appended for the
-    A_ub rows and rows with negative rhs are negated.  Returns
-    (SolveStatus, w) as lp_solve does.  An Infeasible status carries a
-    Farkas certificate y over the caller's rows, A_ub rows first: y >= 0 on
-    the A_ub rows, y^T [A_ub; A_eq] >= 0 and y . [b_ub; b_eq] < 0.
+    Returns (SolveStatus, w) as lp_solve does.  An Infeasible status carries
+    a Farkas certificate y over the caller's rows, A_ub rows first: y >= 0
+    on the A_ub rows, y^T [A_ub; A_eq] >= 0 and y . [b_ub; b_eq] < 0.
     """
     c = np.asarray(objective, dtype=float)
     n = c.shape[0]
