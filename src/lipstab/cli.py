@@ -2,7 +2,8 @@
 
 Every analysis command prints a short human-readable summary followed by a
 single machine-parsable verdict line; CSV reports go to --out.  Exit codes:
-0 success, 2 validation/schema errors, 3 solver or sampling non-convergence.
+0 success, 2 validation/schema errors, 3 solver or sampling non-convergence,
+4 a cross-check failed (no result reported).
 Document-producing commands (demo, linearize) print clean JSON for piping.
 """
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .documents import (
 from .errors import (
     InfeasibleAnchorError,
     InfeasibleRegionError,
+    InternalCheckError,
     NonConvergentError,
     OrderingViolationError,
     RetryExhaustedError,
@@ -369,6 +371,9 @@ def run_cli(argv) -> int:
     except _CONVERGENCE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InternalCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 def main():

@@ -1,9 +1,11 @@
-"""Minimum-norm point over a convex hull, plus the anchored-slice variant.
+"""Minimum-norm point over a convex hull, the anchored-slice variant, and NNLS.
 
 The Euclidean path is Wolfe's active-set method in weight space; it
 terminates finitely and solves each corral subproblem exactly.  For l1/linf
 decision norms the dual-norm objective is polyhedral and both problems are
-LPs, so that path never touches the quadratic machinery.
+LPs, so that path never touches the quadratic machinery.  ``nnls`` is the
+Lawson-Hanson active-set kernel for non-negative least squares; it checks
+the KKT conditions of every result it returns.
 """
 from __future__ import annotations
 
@@ -24,6 +26,58 @@ class MinNormResult:
     point: np.ndarray | None
     kkt_residual: float
     iterations: int
+
+
+def nnls(M, y):
+    """argmin ||M nu - y|| over nu >= 0 (Lawson & Hanson 1974, ch. 23).
+
+    Returns nu only after checking its KKT conditions with
+    w = M^T (y - M nu): nu >= 0, w <= tol everywhere and |w| <= tol on the
+    passive set {nu > 0}.  tol bounds the rounding error of w, which grows
+    with ||y|| + || |M| nu ||.  Raises NonConvergentError when the check
+    fails or the iteration cap of 3 x columns is hit.
+    """
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    y = np.asarray(y, dtype=float)
+    cols = M.shape[1]
+    absM = np.abs(M)
+    unit = 10.0 * max(M.shape) * np.finfo(float).eps * float(absM.sum(axis=0).max(initial=0.0))
+    y_norm = float(np.linalg.norm(y))
+    nu = np.zeros(cols)
+    passive = np.zeros(cols, dtype=bool)
+    w = M.T @ y
+    tol = unit * y_norm
+    for _ in range(3 * cols):
+        j = int(np.argmax(np.where(passive, -np.inf, w)))
+        if passive[j] or w[j] <= tol:
+            break
+        passive[j] = True
+        while True:
+            idx = np.flatnonzero(passive)
+            s = np.linalg.lstsq(M[:, idx], y, rcond=None)[0]
+            if s.min() > 0.0:
+                break
+            # step from nu toward s until the first passive weight hits 0
+            cur = nu[idx]
+            neg = s <= 0.0
+            steps = cur[neg] / (cur[neg] - s[neg])
+            nu[idx] = cur + steps.min() * (s - cur)
+            nu[idx[neg][steps == steps.min()]] = 0.0
+            passive[idx[nu[idx] <= 0.0]] = False
+            if not passive.any():
+                s = np.zeros(0)
+                break
+        nu[:] = 0.0
+        nu[np.flatnonzero(passive)] = s
+        w = M.T @ (y - M @ nu)
+        tol = unit * (y_norm + float(np.linalg.norm(absM @ nu)))
+    else:
+        raise NonConvergentError("NNLS active-set method hit its iteration cap")
+    kkt = max(float(w.max(initial=0.0)), float(np.abs(w[passive]).max(initial=0.0)))
+    if nu.min(initial=0.0) < 0.0 or kkt > tol:
+        raise NonConvergentError(
+            f"NNLS result failed its KKT check: residual {kkt:.3g} > {tol:.3g}")
+    return nu
 
 
 def _affine_min_norm(G_S):

@@ -1,10 +1,11 @@
 """Supremum of [<u, x> - a]_+ / ||u||_dual over a convex hull of generators.
 
-Euclidean decision norm: Dinkelbach iteration on rho, each inner concave
-maximization max_lam c.lam - rho ||A^T lam|| over the simplex solved by
-away-step Frank-Wolfe with closed-form exact line search.  l1/linf norms:
-the positively homogeneous reformulation max {c.mu : mu >= 0,
-||A^T mu||_dual <= 1} is a single LP.
+With c = A x - alpha, the ratio is positively homogeneous in the hull
+weights, so the supremum is 1 / D with D = min {||A^T mu||_dual : mu >= 0,
+c.mu = 1}.  Euclidean decision norm: one non-negative least squares solve,
+nu = argmin_{nu >= 0} ||A^T nu||^2 + (c.nu - 1)^2, is a positive multiple of
+the minimizing mu, and the supremum is c.nu / ||A^T nu||.  l1/linf norms:
+the equivalent LP max {c.mu : mu >= 0, ||A^T mu||_dual <= 1}.
 
 Conventions: 0/0 := 0 for zero-coefficient hull points with nonnegative
 offset; a hull point (0, a) with a < 0 certifies infeasibility of the
@@ -15,10 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..norms import NormSpec
+from .minnorm import nnls
 from .simplex import lp_solve_nonneg
-
-_INNER_CAP = 50_000
-_OUTER_CAP = 80
 
 
 def zero_face_floor(A, alpha) -> float:
@@ -61,94 +60,11 @@ def dual_ball_lp(A, c, dual_kind):
     return status, None if z is None else z[:m]
 
 
-def _line_search(cd, rho, q0, q1, q2, gmax):
-    """argmax over [0, gmax] of  gamma*cd - rho*sqrt(q0 + 2 gamma q1 + gamma^2 q2)."""
-    def val(gamma):
-        return gamma * cd - rho * np.sqrt(max(q0 + 2 * gamma * q1 + gamma * gamma * q2, 0.0))
-
-    cands = [0.0, gmax]
-    a2 = cd * cd * q2 - rho * rho * q2 * q2
-    a1 = 2 * cd * cd * q1 - 2 * rho * rho * q1 * q2
-    a0 = cd * cd * q0 - rho * rho * q1 * q1
-    if abs(a2) > 1e-300:
-        disc = a1 * a1 - 4 * a2 * a0
-        if disc >= 0:
-            r = np.sqrt(disc)
-            for root in ((-a1 - r) / (2 * a2), (-a1 + r) / (2 * a2)):
-                if 0.0 < root < gmax:
-                    cands.append(root)
-    elif abs(a1) > 1e-300:
-        root = -a0 / a1
-        if 0.0 < root < gmax:
-            cands.append(root)
-    vals = [val(gm) for gm in cands]
-    k = int(np.argmax(vals))
-    return cands[k], vals[k]
-
-
-def _fw_concave_max(A, c, rho, lam, tol_gap, maxiter=_INNER_CAP):
-    """Away-step Frank-Wolfe for max c.lam - rho ||A^T lam|| over the simplex.
-
-    Returns (lam, value, last_gap).
-    """
-    u = A.T @ lam
-    tiny = 1e-300
-    for _ in range(maxiter):
-        nu = float(np.linalg.norm(u))
-        grad = c - rho * (A @ u) / nu if nu > tiny else c.copy()
-        s = int(np.argmax(grad))
-        glam = float(grad @ lam)
-        fw_gap = grad[s] - glam
-        if fw_gap <= tol_gap:
-            break
-        support = np.where(lam > 1e-15)[0]
-        v = support[int(np.argmin(grad[support]))]
-        away_gap = glam - grad[v]
-        if fw_gap >= away_gap:
-            d_c = c[s] - float(c @ lam)
-            w = A[s] - u
-            gmax = 1.0
-            is_away = False
-        else:
-            d_c = float(c @ lam) - c[v]
-            w = u - A[v]
-            gmax = lam[v] / (1.0 - lam[v]) if lam[v] < 1.0 else 1.0
-            is_away = True
-        q0 = float(u @ u)
-        q1 = float(u @ w)
-        q2 = float(w @ w)
-        gamma, _ = _line_search(d_c, rho, q0, q1, q2, gmax)
-        if gamma <= 0.0:
-            break
-        if is_away:
-            lam = lam * (1.0 + gamma)
-            lam[v] -= gamma
-        else:
-            lam = lam * (1.0 - gamma)
-            lam[s] += gamma
-        np.clip(lam, 0.0, None, out=lam)
-        ssum = lam.sum()
-        if abs(ssum - 1.0) > 1e-13:
-            lam /= ssum
-        u = A.T @ lam
-    nu = float(np.linalg.norm(u))
-    value = float(c @ lam) - rho * nu
-    grad = c - rho * (A @ u) / nu if nu > tiny else c
-    gap = float(grad.max() - grad @ lam)
-    return lam, value, max(gap, 0.0)
-
-
-def max_ratio_over_hull(generators, x, norm: NormSpec = NormSpec(),
-                        rel_tol: float = 1e-8, trace: list | None = None) -> float:
-    """sup over hull points (u, a) of co(generators) of [<u, x> - a]_+ / ||u||_dual.
-
-    ``trace``, when given, collects (rho_k, inner_max_k) per Dinkelbach
-    round: rho climbs to the supremum while the inner maxima fall to 0.
-    """
+def max_ratio_over_hull(generators, x, norm: NormSpec = NormSpec()) -> float:
+    """sup over hull points (u, a) of co(generators) of [<u, x> - a]_+ / ||u||_dual."""
     A = np.atleast_2d(np.asarray(generators.coefficients, dtype=float))
     alpha = np.asarray(generators.offsets, dtype=float)
     x = np.asarray(x, dtype=float)
-    m = A.shape[0]
     c = A @ x - alpha
 
     norms_a = np.linalg.norm(A, axis=1)
@@ -168,27 +84,10 @@ def max_ratio_over_hull(generators, x, norm: NormSpec = NormSpec(),
             return np.inf
         return max(float(c @ mu), 0.0)
 
-    # Dinkelbach on the Euclidean ratio
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vertex_ratio = np.where(norms_a > 1e-300, np.maximum(c, 0.0) / norms_a, 0.0)
-    start = int(np.argmax(vertex_ratio))
-    rho = float(vertex_ratio[start])
-    lam = np.zeros(m)
-    lam[start] = 1.0
-    scale = 1.0 + float(np.abs(c).max()) + float(norms_a.max())
-    best = rho
-    for _ in range(_OUTER_CAP):
-        lam, value, gap = _fw_concave_max(A, c, rho, lam, tol_gap=1e-13 * scale)
-        if trace is not None:
-            trace.append((rho, value))
-        u = A.T @ lam
-        nu = float(np.linalg.norm(u))
-        if nu > 1e-300:
-            best = max(best, float(c @ lam) / nu)
-        upper = value + gap
-        if upper <= rel_tol * 1e-2 * max(1.0, rho) and best - rho <= rel_tol * 1e-2 * max(1.0, rho):
-            break
-        if best <= rho * (1.0 + 1e-15):
-            break
-        rho = best
-    return best
+    # NNLS on M = [A^T; c^T], y = e_{n+1}
+    y = np.zeros(A.shape[1] + 1)
+    y[-1] = 1.0
+    nu = nnls(np.vstack([A.T, c]), y)
+    # c.nu > 0 at the optimum, since c has a positive entry
+    den = float(np.linalg.norm(A.T @ nu))
+    return float(c @ nu) / den if den > 0.0 else np.inf

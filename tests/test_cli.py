@@ -162,6 +162,20 @@ class TestExitCodes:
         code, _ = run(["demo", "random", "--n", "2", "--m", "4"], capsys=capsys)
         assert code == 3
 
+    def test_failed_cross_check_is_exit_four(self, demo3, capsys, monkeypatch):
+        from lipstab import cli as cli_mod
+        from lipstab.errors import InternalCheckError
+
+        def boom(*args, **kwargs):
+            raise InternalCheckError("synthetic disagreement")
+
+        monkeypatch.setattr(cli_mod, "check_ssc", boom)
+        code = run_cli(["ssc", "--system", demo3])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == "error: synthetic disagreement\n"
+
 
 class TestDocumentsOut:
     def test_linearize_emits_parseable_document(self, tmp_path, capsys):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import random_ssc_system
+from lipstab.errors import NonConvergentError
 from lipstab.model import CharacteristicSet
 from lipstab.norms import NormSpec
+from lipstab.solvers.minnorm import nnls
 from lipstab.solvers.projection import project_polyhedron
 from lipstab.solvers.ratio import max_ratio_over_hull
 
@@ -78,24 +80,61 @@ def test_matches_projection_on_random_ssc_instances(rng):
         assert val == pytest.approx(dist, rel=1e-7, abs=1e-9)
 
 
-def test_dinkelbach_iterates_are_monotone(rng):
-    # rho climbs to the supremum from achieved ratios; the inner maxima
-    # shrink to 0 (within the final tolerance)
-    for _ in range(15):
-        system, xhat = random_ssc_system(rng, n=3, m=12)
-        x = xhat + rng.normal(size=3) * 2
-        trace = []
-        val = max_ratio_over_hull(
-            gens(system.coefficient_matrix(), system.rhs_vector()), x, trace=trace)
-        if len(trace) < 2 or val == 0.0:
-            continue
-        rhos = [r for r, _ in trace]
-        inner = [v for _, v in trace]
-        assert all(b >= a - 1e-12 for a, b in zip(rhos, rhos[1:]))
-        assert all(b <= a + 1e-9 * max(1.0, val) for a, b in zip(inner, inner[1:]))
-        assert all(v >= -1e-9 * max(1.0, val) for v in inner)
-        assert inner[-1] <= 1e-8 * max(1.0, val)
-        assert rhos[-1] <= val + 1e-12
+def _kkt_tolerance(M, y, nu):
+    scale = np.linalg.norm(y) + np.linalg.norm(np.abs(M) @ nu)
+    return 10.0 * max(M.shape) * np.finfo(float).eps * np.abs(M).sum(axis=0).max() * scale
+
+
+def test_nnls_returns_checked_certificate(rng, monkeypatch):
+    rows, cols = 6, 30
+    full = rng.normal(size=(rows, cols))
+    # y inside the cone of the first `rows` columns: zero residual, `rows` supports
+    y_full = full[:, :rows] @ rng.uniform(0.5, 1.5, size=rows)
+    duplicated = np.hstack([full, full[:, :10]])
+    zero_col = full.copy()
+    zero_col[:, 3] = 0.0
+    cases = [(full, y_full), (duplicated, rng.normal(size=rows)),
+             (zero_col, rng.normal(size=rows))]
+    cases += [(rng.normal(size=(rows, cols)), rng.normal(size=rows)) for _ in range(20)]
+    for M, y in cases:
+        nu = nnls(M, y)
+        w = M.T @ (y - M @ nu)
+        tol = _kkt_tolerance(M, y, nu)
+        assert nu.min() >= 0.0
+        assert w.max() <= tol
+        assert np.abs(w[nu > 0]).max(initial=0.0) <= tol
+    nu = nnls(full, y_full)
+    assert np.count_nonzero(nu) == rows
+    assert np.linalg.norm(full @ nu - y_full) <= 1e-12 * np.linalg.norm(y_full)
+    assert nnls(zero_col, rng.normal(size=rows))[3] == 0.0
+    # a least-squares step that misses its optimum is caught, never returned;
+    # on the square system every column ends passive, so the loop exits
+    # normally and only the KKT check can reject the result
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *a, **k: (lstsq(*a, **k)[0] * (1 + 1e-6),))
+    with pytest.raises(NonConvergentError, match="KKT"):
+        nnls(full[:, :rows], y_full)
+
+
+def test_nnls_and_ratio_match_scipy(rng):
+    scipy_nnls = pytest.importorskip("scipy.optimize").nnls
+    for _ in range(20):
+        M = rng.normal(size=(int(rng.integers(3, 12)), int(rng.integers(5, 60))))
+        y = rng.normal(size=M.shape[0])
+        ref, _ = scipy_nnls(M, y, maxiter=50 * M.shape[1])
+        assert np.linalg.norm(nnls(M, y) - ref) <= 1e-10 * max(np.linalg.norm(ref), 1e-300)
+    for n, m in [(3, 12)] * 15 + [(20, 200)] * 2:
+        system, xhat = random_ssc_system(rng, n=n, m=m)
+        A = system.coefficient_matrix()
+        b = system.rhs_vector()
+        x = xhat + rng.normal(size=n) * 2
+        c = A @ x - b
+        y = np.zeros(n + 1)
+        y[-1] = 1.0
+        nu, _ = scipy_nnls(np.vstack([A.T, c]), y, maxiter=50 * m)
+        ref = float(c @ nu) / np.linalg.norm(A.T @ nu) if c.max() > 0 else 0.0
+        assert max_ratio_over_hull(gens(A, b), x) == pytest.approx(ref, rel=1e-10, abs=0)
 
 
 @pytest.mark.parametrize("kind", ["l1", "linf"])
