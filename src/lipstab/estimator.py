@@ -5,12 +5,10 @@ dist(x; F_J(p)) / dist(p; F_J^{-1}(x)) with the numerator computed by the
 projection oracle (never by the ratio formula under test), and reports the
 per-radius maxima.  0/0 samples contribute 0 by convention.  Reports are
 bit-reproducible for a fixed seed: the RNG stream is split per sample index,
-so the reduction order (and any parallelism) cannot change results.
+so the reduction order cannot change results.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,8 +114,7 @@ def empirical_lip(system: LinearSystem, partition: BlockPartition, anchor,
     margin = ssc.margin  # negative
     x_kind = system.norm.kind
 
-    def one_sample(args):
-        r_idx, radius, i = args
+    def one_sample(r_idx, radius, i):
         rng = np.random.default_rng((cfg.seed, r_idx, i))
         if cfg.perturb_anchor:
             dx = _sphere_direction(rng, x_kind, n)
@@ -142,17 +139,13 @@ def empirical_lip(system: LinearSystem, partition: BlockPartition, anchor,
             return np.inf, False
         return num / den, False
 
-    threads = int(os.environ.get("LIPSTAB_THREADS", "1") or "1")
     stats = []
     for r_idx, radius in enumerate(cfg.radii):
-        tasks = [(r_idx, radius, i) for i in range(cfg.samples_per_radius)]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(one_sample, tasks))
-        else:
-            results = [one_sample(t) for t in tasks]
-        quotients = np.array([q for q, _ in results])
-        zoz = sum(1 for _, z in results if z)
+        quotients = np.empty(cfg.samples_per_radius)
+        zoz = 0
+        for i in range(cfg.samples_per_radius):
+            quotients[i], zero_over_zero = one_sample(r_idx, radius, i)
+            zoz += zero_over_zero
         best = int(np.argmax(quotients)) if len(quotients) else -1
         stats.append(RadiusStats(radius, float(quotients.max(initial=0.0)),
                                  len(quotients), zoz, best))

@@ -87,7 +87,10 @@ def max_ratio_over_hull(generators, x, norm: NormSpec = NormSpec()) -> float:
     # NNLS on M = [A^T; c^T], y = e_{n+1}
     y = np.zeros(A.shape[1] + 1)
     y[-1] = 1.0
-    nu = nnls(np.vstack([A.T, c]), y)
-    # c.nu > 0 at the optimum, since c has a positive entry
+    nu, _ = nnls(np.vstack([A.T, c]), y)
+    # c.nu > 0 at the optimum, since c has a positive entry; A^T nu at the
+    # rounding level of its terms means a hull point (0, a) with a < 0
     den = float(np.linalg.norm(A.T @ nu))
-    return float(c @ nu) / den if den > 0.0 else np.inf
+    if den <= 10.0 * A.size * np.finfo(float).eps * float(np.linalg.norm(np.abs(A).T @ nu)):
+        return np.inf
+    return float(c @ nu) / den

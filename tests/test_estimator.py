@@ -81,16 +81,6 @@ def test_quotients_dominated_by_exact_bound(rng):
         assert rep.estimate >= 0.9 * lip
 
 
-def test_thread_cap_never_changes_results(rng, monkeypatch):
-    system, xbar = random_boundary_instance(rng, n=3, m=6)
-    part = random_partition(rng, system.labels, 2)
-    cfg = SamplingConfig(radii=(1e-2,), samples_per_radius=120, seed=7)
-    serial = empirical_lip(system, part, xbar, cfg)
-    monkeypatch.setenv("LIPSTAB_THREADS", "4")
-    threaded = empirical_lip(system, part, xbar, cfg)
-    assert serial == threaded
-
-
 def test_fixed_anchor_mode():
     system = demo_truncation(4)
     part = BlockPartition.maximum(system.labels)

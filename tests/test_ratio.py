@@ -43,6 +43,14 @@ def test_zero_generator_negative_offset_is_infinite():
     assert max_ratio_over_hull(g, [0.0, 0.0]) == np.inf
 
 
+def test_cancelling_generators_negative_offset_is_infinite():
+    # x <= -1 and -x <= -1: the hull point (0, -1) is a mix of two nonzero
+    # generators, so A^T nu vanishes only up to rounding
+    assert max_ratio_over_hull(gens([[1.0], [-1.0]], [-1.0, -1.0]), [0.0]) == np.inf
+    tri = gens([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]], [-0.5, 0.2, 0.1])
+    assert max_ratio_over_hull(tri, [0.3, 0.7]) == np.inf
+
+
 def test_zero_generator_nonnegative_offset_is_ignored():
     g = gens([[0.0, 0.0], [1.0, 0.0]], [0.5, 1.0])
     assert max_ratio_over_hull(g, [2.0, 0.0]) == pytest.approx(1.0, abs=1e-9)
@@ -97,16 +105,17 @@ def test_nnls_returns_checked_certificate(rng, monkeypatch):
              (zero_col, rng.normal(size=rows))]
     cases += [(rng.normal(size=(rows, cols)), rng.normal(size=rows)) for _ in range(20)]
     for M, y in cases:
-        nu = nnls(M, y)
+        nu, _ = nnls(M, y)
         w = M.T @ (y - M @ nu)
         tol = _kkt_tolerance(M, y, nu)
         assert nu.min() >= 0.0
         assert w.max() <= tol
         assert np.abs(w[nu > 0]).max(initial=0.0) <= tol
-    nu = nnls(full, y_full)
+    nu, iterations = nnls(full, y_full)
     assert np.count_nonzero(nu) == rows
+    assert iterations >= rows
     assert np.linalg.norm(full @ nu - y_full) <= 1e-12 * np.linalg.norm(y_full)
-    assert nnls(zero_col, rng.normal(size=rows))[3] == 0.0
+    assert nnls(zero_col, rng.normal(size=rows))[0][3] == 0.0
     # a least-squares step that misses its optimum is caught, never returned;
     # on the square system every column ends passive, so the loop exits
     # normally and only the KKT check can reject the result
@@ -123,7 +132,7 @@ def test_nnls_and_ratio_match_scipy(rng):
         M = rng.normal(size=(int(rng.integers(3, 12)), int(rng.integers(5, 60))))
         y = rng.normal(size=M.shape[0])
         ref, _ = scipy_nnls(M, y, maxiter=50 * M.shape[1])
-        assert np.linalg.norm(nnls(M, y) - ref) <= 1e-10 * max(np.linalg.norm(ref), 1e-300)
+        assert np.linalg.norm(nnls(M, y)[0] - ref) <= 1e-10 * max(np.linalg.norm(ref), 1e-300)
     for n, m in [(3, 12)] * 15 + [(20, 200)] * 2:
         system, xhat = random_ssc_system(rng, n=n, m=m)
         A = system.coefficient_matrix()
