@@ -20,18 +20,19 @@ from .minnorm import nnls
 from .simplex import lp_solve_nonneg
 
 
-def zero_face_floor(A, alpha) -> float:
-    """min alpha.lam over simplex weights with A^T lam = 0; +inf if none exist.
+def zero_face_floor(A, alpha):
+    """min alpha.lam over simplex weights with A^T lam = 0, and the weights.
 
-    A nonpositive floor means co{(a_t, alpha_t)} meets {0} x (-inf, 0].
+    Returns (floor, lam); (+inf, None) when no such weights exist.  A
+    nonpositive floor means co{(a_t, alpha_t)} meets {0} x (-inf, 0].
     """
     m, n = A.shape
     eq = np.vstack([A.T, np.ones((1, m))])
     rhs = np.concatenate([np.zeros(n), [1.0]])
     status, lam = lp_solve_nonneg(alpha, None, None, eq, rhs)
     if not status.optimal:
-        return np.inf
-    return float(alpha @ lam)
+        return np.inf, None
+    return float(alpha @ lam), lam
 
 
 def dual_ball_lp(A, c, dual_kind):
@@ -69,7 +70,7 @@ def max_ratio_over_hull(generators, x, norm: NormSpec = NormSpec()) -> float:
 
     norms_a = np.linalg.norm(A, axis=1)
     if np.any(norms_a < 1e-300):
-        if zero_face_floor(A, alpha) < -1e-12 * (1.0 + float(np.abs(alpha).max())):
+        if zero_face_floor(A, alpha)[0] < -1e-12 * (1.0 + float(np.abs(alpha).max())):
             return np.inf
     if np.all(norms_a < 1e-300):
         return 0.0

@@ -77,6 +77,9 @@ class _Tableau:
         """Simplex iterations for one phase.  Returns 'optimal'/'unbounded'/'iterlimit'."""
         tol_red = 1e-10 * (1.0 + scale)
         tol_piv = 1e-11
+        # rounding in pi @ A grows with ||pi||_1 and the column's largest entry
+        col_max = np.abs(self.A).max(axis=0, initial=0.0)
+        eps_m = 10.0 * self.m * np.finfo(float).eps
         stall = 0
         bland = False
         last_obj = np.inf
@@ -90,7 +93,8 @@ class _Tableau:
             pi = cost[self.basis] @ self.Binv
             reduced = cost - pi @ self.A
             reduced[self.basis] = 0.0
-            candidates = np.where(allowed_mask & (reduced < -tol_red))[0]
+            tol_col = tol_red + eps_m * float(np.abs(pi).sum()) * col_max
+            candidates = np.where(allowed_mask & (reduced < -tol_col))[0]
             if candidates.size == 0:
                 return "optimal"
             if bland:

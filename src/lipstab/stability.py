@@ -99,33 +99,37 @@ class EpsActiveResult:
 def check_ssc(system: LinearSystem, tol: float = FEAS_TOL) -> SSCReport:
     """Certify the strong Slater condition by two independent routes.
 
-    LP route: minimize s subject to <a_t, x> - s <= b_t; SSC holds iff some
-    feasible s is < -tol (an unbounded LP qualifies).  Hull route: SSC holds
-    iff the min-norm point of co{(a_t, b_t)} stays away from the origin.
-    Disagreement aborts with diagnostics.
+    Both routes start from the zero-face floor LP, min sum lam_t b_t over
+    simplex weights with sum lam_t a_t = 0 (n + 1 rows).  It is the dual of
+    the margin LP min s s.t. <a_t, x> - s <= b_t, so the support of its
+    weights is an optimal active set of the margin LP.
+
+    LP route: SSC holds iff the margin is < -tol (an unbounded margin LP
+    qualifies).  The margin LP is solved by row generation, seeded with
+    that support, or with the n + 1 rows of smallest b_t when no weights
+    exist; the margin is reported only once its point (or Gordan ray)
+    holds on all m rows, so the seed sets how many rounds run, never the
+    verdict.  Hull route: SSC holds iff the min-norm point of
+    co{(a_t, b_t)}, found by the NNLS kernel without any LP, stays away
+    from the origin and the floor is > tol.  The routes stay independent:
+    the margin comes from its own primal LP checked row by row, while the
+    hull verdict rests on the NNLS gap and the floor's value.  Disagreement
+    aborts with diagnostics.
     """
     validated(system)
     A = system.coefficient_matrix()
     b = system.rhs_vector()
-    m, n = A.shape
+    n = A.shape[1]
 
-    objective = np.zeros(n + 1)
-    objective[n] = 1.0
-    status, z = lp_solve(objective, np.hstack([A, -np.ones((m, 1))]), b)
-    if status.kind is StatusKind.ITER_LIMIT:
-        raise NonConvergentError("SSC LP hit the pivot cap")
-    if status.kind is StatusKind.UNBOUNDED:
-        ray = status.certificate
-        step = (abs(z[n]) + 1.0) / max(-ray[n], 1e-300)
-        witness = z[:n] + step * ray[:n]
-        margin = float((A @ witness - b).max())
+    floor, lam = zero_face_floor(A, b)
+    if lam is None:
+        seed = np.argsort(b, kind="stable")[:n + 1]
     else:
-        witness = z[:n]
-        margin = float(z[n])
+        seed = np.flatnonzero(lam > 0)
+    margin, witness = _ssc_margin_lp(A, b, seed)
     lp_holds = margin < -tol
 
     hull_gap, _, _, _, _ = min_norm_point(np.hstack([A, b[:, None]]))
-    floor = zero_face_floor(A, b)
     hull_holds = hull_gap > tol and floor > tol
 
     if lp_holds != hull_holds:
@@ -142,6 +146,56 @@ def check_ssc(system: LinearSystem, tol: float = FEAS_TOL) -> SSCReport:
         hull_holds=hull_holds,
         zero_face_floor=floor,
     )
+
+
+def _ssc_margin_lp(A, b, seed):
+    """min s s.t. <a_t, x> - s <= b_t on all rows, by row generation.
+
+    Each round solves the LP on the working rows (starting from seed) and
+    adds the n + 1 rows that its optimal point, or its improving ray,
+    violates most.  Returns (margin, witness) with max(A witness - b) at
+    most the margin up to rounding.
+    """
+    m, n = A.shape
+    objective = np.zeros(n + 1)
+    objective[n] = 1.0
+    lifted = np.hstack([A, -np.ones((m, 1))])
+    working = np.zeros(m, dtype=bool)
+    working[seed] = True
+    while True:
+        rows = np.flatnonzero(working)
+        status, z = lp_solve(objective, lifted[rows], b[rows])
+        if status.kind is StatusKind.ITER_LIMIT:
+            raise NonConvergentError("SSC LP hit the pivot cap")
+        if status.kind is StatusKind.OPTIMAL:
+            violation = lifted @ z - b
+            tol = 1e-12 * (1.0 + float(np.abs(b).max()))
+            if violation.max() <= tol:
+                return float(z[n]), z[:n]
+        elif status.kind is StatusKind.UNBOUNDED:
+            ray = status.certificate
+            if not ray[n] < 0:
+                raise InternalCheckError(f"SSC LP ray does not decrease s: {ray[n]!r}")
+            # along the ray scaled to s-step -1, every row needs A d <= -1;
+            # each row is judged at the rounding scale of its own terms
+            d = ray[:n] / -ray[n]
+            violation = A @ d + 1.0
+            tol = 1e-9 * (1.0 + np.abs(A) @ np.abs(d))
+            if (violation <= tol).all():
+                # z need not hold on the rows outside the working set
+                s = float((A @ z[:n] - b).max())
+                witness = z[:n] + (abs(s) + 1.0) * d
+                return float((A @ witness - b).max()), witness
+        else:
+            raise InternalCheckError(f"SSC LP ended with {status.kind}")
+        violated = violation > tol
+        if violated[rows].any():
+            raise InternalCheckError(
+                f"SSC LP {status.kind.value} violates its own rows by "
+                f"{float(violation[rows].max())!r}"
+            )
+        worst = np.argsort(-violation, kind="stable")[:n + 1]
+        working[worst[violated[worst]]] = True
 
 
 def _require_anchor(system: LinearSystem, anchor, tol: float) -> np.ndarray:

@@ -64,6 +64,19 @@ class TestVerdictLines:
         assert "ssc=false" in last_line(out)
         assert "hull_gap=0" in last_line(out)
 
+    def test_scaled_pair_certifies(self, tmp_path, capsys):
+        doc = {"version": "lipstab-v1", "dimension": 2, "norm": "euclid",
+               "rows": [{"label": "a", "a": [-19e6, 0.0], "b": 1e6},
+                        {"label": "b", "a": [20e6, 0.0], "b": 1e6}]}
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(["ssc", "--system", str(path)], capsys=capsys)
+        assert code == 0
+        assert last_line(out).startswith("ssc=true margin=-1000000 ")
+        code, out = run(["lip", "--system", str(path), "--anchor=0,0"], capsys=capsys)
+        assert code == 0
+        assert last_line(out) == "lip=0 regime=SlaterPoint"
+
     def test_eps_active_line(self, demo3, capsys):
         code, out = run(["eps-active", "--system", demo3, "--anchor", "0,0",
                          "--eps", "0.5"], capsys=capsys)

@@ -30,6 +30,15 @@ class TestContract:
                              maxiter=1)
         assert status.kind is StatusKind.ITER_LIMIT
 
+    @pytest.mark.parametrize("c", [1e6, 1e7])
+    def test_scaled_free_pair_is_optimal(self, c):
+        # the mirror column of a basic split free variable prices at the
+        # rounding level of pi @ A, which grows with c
+        status, x = lp_solve([0.0, 0.0, 1.0],
+                             [[-19.0 * c, 0.0, -1.0], [20.0 * c, 0.0, -1.0]], [c, c])
+        assert status.kind is StatusKind.OPTIMAL
+        assert x[2] == pytest.approx(-c, rel=1e-12)
+
     def test_equality_constraints(self):
         status, x = lp_solve([1.0, 0.0], [[0.0, 1.0]], [1.5], [[1.0, 1.0]], [2.0])
         assert status.kind is StatusKind.OPTIMAL

@@ -9,10 +9,13 @@ from conftest import (
     random_ssc_system,
     ssc_failing_feasible,
 )
-from lipstab.errors import InfeasibleAnchorError, SSCViolatedError
+from lipstab import stability
+from lipstab.errors import InfeasibleAnchorError, InternalCheckError, SSCViolatedError
 from lipstab.model import BlockPartition, LinearSystem, Perturbation
 from lipstab.norms import NormSpec
 from lipstab.solvers.projection import project_polyhedron
+from lipstab.solvers.ratio import zero_face_floor
+from lipstab.solvers.simplex import SolveStatus, StatusKind
 from lipstab.stability import (
     check_ssc,
     coderivative_member,
@@ -51,6 +54,146 @@ class TestCheckSSC:
                 system, _ = random_ssc_system(rng, n=3, m=10)
             rep = check_ssc(system)
             assert rep.lp_holds == rep.hull_holds
+
+
+def _system(A, b):
+    return LinearSystem(A.shape[1], tuple((f"t{i}", A[i], float(b[i])) for i in range(len(b))))
+
+
+def _floor_seed(A, b):
+    _, lam = zero_face_floor(A, b)
+    if lam is None:
+        return np.argsort(b, kind="stable")[:A.shape[1] + 1]
+    return np.flatnonzero(lam > 0)
+
+
+def _assert_witness(A, b, margin, witness):
+    assert (A @ witness - b).max() <= margin + 1e-9 * (1.0 + np.abs(b).max())
+
+
+def _margin_cases(rng):
+    """(A, b) with duplicated, parallel and zero rows, rank-deficient A,
+    failing SSC, and sizes up to n=20, m=1000."""
+    for trial in range(48):
+        n, m = int(rng.integers(1, 8)), int(rng.integers(2, 40))
+        A, b = rng.normal(size=(m, n)), rng.normal(size=m)
+        kind = trial % 6
+        if kind == 0:
+            k = int(rng.integers(1, m + 1))
+            A, b = np.vstack([A, A[:k]]), np.concatenate([b, b[:k]])
+        elif kind == 1:
+            f = rng.uniform(0.1, 10.0, size=m)
+            A = np.vstack([A, f[:, None] * A])
+            b = np.concatenate([b, f * b + rng.uniform(0.0, 1.0, size=m)])
+        elif kind == 2:
+            A[:1 + m // 4] = 0.0
+            b[:1 + m // 4] = np.abs(b[:1 + m // 4])
+        elif kind == 3:
+            r = max(1, n - 2)
+            A = rng.normal(size=(m, r)) @ rng.normal(size=(r, n))
+        elif kind == 4:
+            system, _ = ssc_failing_feasible(rng, n=max(n, 2), m=max(m, 3))
+            A, b = system.coefficient_matrix(), system.rhs_vector()
+        yield A, b
+    for n, m in ((20, 1000), (20, 200), (5, 500)):
+        system, _ = random_ssc_system(rng, n=n, m=m)
+        yield system.coefficient_matrix(), system.rhs_vector()
+
+
+class TestSSCMarginLP:
+    @pytest.mark.parametrize("bad", ["ray_violates_working_row", "ray_keeps_s", "point_violates_working_row"])
+    def test_lp_route_checks_its_certificates(self, monkeypatch, bad):
+        def fake_lp_solve(objective, A_ub, b_ub):
+            ray = np.concatenate([10.0 * A_ub[0, :-1], [-1.0]])
+            if bad == "ray_keeps_s":
+                ray[-1] = 0.0
+            if bad == "point_violates_working_row":
+                z = np.concatenate([np.zeros(A_ub.shape[1] - 1), [b_ub.min() - 1.0]])
+                return SolveStatus(StatusKind.OPTIMAL, 1), z
+            return SolveStatus(StatusKind.UNBOUNDED, 1, ray), np.zeros(A_ub.shape[1])
+
+        monkeypatch.setattr(stability, "lp_solve", fake_lp_solve)
+        with pytest.raises(InternalCheckError):
+            check_ssc(box_system())
+
+    def test_margin_does_not_depend_on_the_seed(self, rng):
+        for A, b in _margin_cases(rng):
+            m = A.shape[0]
+            runs = [stability._ssc_margin_lp(A, b, seed)
+                    for seed in (_floor_seed(A, b), np.zeros(0, dtype=int), np.arange(m))]
+            for margin, witness in runs:
+                _assert_witness(A, b, margin, witness)
+            if zero_face_floor(A, b)[1] is None:
+                # unbounded LP: the margin is that of the witness, and negative
+                assert all(margin < -1e-9 for margin, _ in runs)
+                continue
+            for margin, _ in runs[1:]:
+                assert abs(margin - runs[0][0]) <= 1e-12 * (1.0 + np.abs(b).max())
+
+    def test_margin_matches_highs(self, rng):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+
+        def highs(A, b):
+            m, n = A.shape
+            ref = linprog(np.eye(n + 1)[n], A_ub=np.hstack([A, -np.ones((m, 1))]), b_ub=b,
+                          bounds=[(None, None)] * (n + 1), method="highs")
+            assert ref.status in (0, 3)
+            return ref.fun if ref.status == 0 else -np.inf
+
+        for A, b in _margin_cases(rng):
+            ref = highs(A, b)
+            rep = check_ssc(_system(A, b))
+            scaled = [(c * A, c * b, c * ref) for c in (1e-6, 1e6)]
+            # HiGHS's absolute tolerances do not fit rows of norm 1e-6, so
+            # mixed-scale rows are only compared on moderate spreads
+            f = 10.0 ** rng.uniform(-2.0, 2.0, size=len(b))
+            scaled.append((f[:, None] * A, f * b, highs(f[:, None] * A, f * b)))
+            runs = [(A, b, ref, rep.margin, rep.slater_point)]
+            for A2, b2, ref2 in scaled:
+                # the margin LP alone: the hull route's absolute tolerance
+                # does not fit systems scaled by 1e6
+                runs.append((A2, b2, ref2) + stability._ssc_margin_lp(A2, b2, _floor_seed(A2, b2)))
+            for A2, b2, ref2, margin, witness in runs:
+                if ref2 == -np.inf:
+                    assert margin < -1e-9
+                    _assert_witness(A2, b2, margin, witness)
+                else:
+                    assert abs(margin - ref2) <= 1e-9 * (1.0 + np.abs(b2).max())
+
+    def test_margin_is_invariant_and_scales(self, rng):
+        for _ in range(20):
+            system, _ = random_ssc_system(rng, n=int(rng.integers(2, 6)),
+                                          m=int(rng.integers(12, 40)))
+            A, b = system.coefficient_matrix(), system.rhs_vector()
+            rep = check_ssc(system)
+            assert np.isfinite(rep.zero_face_floor)
+            m = len(b)
+            perm = rng.permutation(m)
+            dup = rng.integers(0, m, size=5)
+            far = rng.normal(size=(6, A.shape[1]))
+            far_b = far @ rep.slater_point - rep.margin + 10.0 * (1.0 + abs(rep.margin))
+            variants = [
+                (A[perm], b[perm], 1.0),
+                (np.vstack([A, A[dup]]), np.concatenate([b, b[dup]]), 1.0),
+                (np.vstack([A, far]), np.concatenate([b, far_b]), 1.0),
+            ] + [(c * A, c * b, c) for c in (1e-3, 7.0, 1e6)]
+            for A2, b2, c in variants:
+                margin = check_ssc(_system(A2, b2)).margin
+                assert margin == pytest.approx(c * rep.margin, rel=1e-12)
+
+    @pytest.mark.parametrize("N,n,m", [(5000, None, None), (None, 20, 1000)])
+    def test_lp_rows_stay_small(self, monkeypatch, rng, N, n, m):
+        rows = []
+        lp_solve = stability.lp_solve
+
+        def counting_lp_solve(objective, A_ub, b_ub):
+            rows.append(A_ub.shape[0])
+            return lp_solve(objective, A_ub, b_ub)
+
+        monkeypatch.setattr(stability, "lp_solve", counting_lp_solve)
+        system = demo_truncation(N) if N else random_ssc_system(rng, n=n, m=m)[0]
+        assert check_ssc(system).holds
+        assert rows and max(rows) <= 100
 
 
 class TestDistanceFormula:
