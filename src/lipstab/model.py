@@ -144,18 +144,6 @@ class CharacteristicSet:
     def __len__(self) -> int:
         return len(self.labels)
 
-    @property
-    def generators(self) -> list:
-        return [
-            (self.coefficients[i], float(self.offsets[i])) for i in range(len(self))
-        ]
-
-    def subset(self, indices) -> "CharacteristicSet":
-        idx = list(indices)
-        return CharacteristicSet(
-            self.coefficients[idx], self.offsets[idx], tuple(self.labels[i] for i in idx)
-        )
-
 
 @dataclass(frozen=True)
 class ValidationReport:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     InfeasibleAnchorError,
+    InfeasibleRegionError,
     InternalCheckError,
     NonConvergentError,
     SSCViolatedError,
@@ -26,12 +27,14 @@ from .model import (
     CharacteristicSet,
     LinearSystem,
     Perturbation,
+    block_assignment,
     characteristic_generators,
     perturbed_system,
     validated,
 )
 from .solvers.minnorm import min_norm_point, min_norm_sliced_hull
-from .solvers.ratio import dual_ball_lp, max_ratio_over_hull, zero_face_floor
+from .solvers.projection import project_polyhedron
+from .solvers.ratio import max_ratio_over_hull, zero_face_floor
 from .solvers.simplex import StatusKind, lp_solve, lp_solve_nonneg
 
 REGIME_SLATER = "SlaterPoint"
@@ -269,29 +272,19 @@ def coderivative_member(system: LinearSystem, partition: BlockPartition, anchor,
     A = system.coefficient_matrix()
     b = system.rhs_vector()
     m = A.shape[0]
-    assign = np.array([partition.block_of()[t] for t in system.labels])
+    assign = block_assignment(system, partition)
+    n_blocks = len(partition.blocks)
 
-    eq_rows = []
-    eq_rhs = []
-    for j in range(len(partition.blocks)):
-        row = (assign == j).astype(float)
-        eq_rows.append(row)
-        eq_rhs.append(-p_star[j])
-    for k in range(system.dimension):
-        eq_rows.append(A[:, k])
-        eq_rhs.append(-x_star[k])
-    eq_rows.append(b)
-    eq_rhs.append(-float(x_star @ anchor))
-
-    status, mu = lp_solve_nonneg(np.zeros(m), None, None,
-                                 np.array(eq_rows), np.array(eq_rhs))
+    eq_rows = np.vstack([np.arange(n_blocks)[:, None] == assign, A.T, b])
+    eq_rhs = np.concatenate([-p_star, -x_star, [-float(x_star @ anchor)]])
+    status, mu = lp_solve_nonneg(np.zeros(m), None, None, eq_rows, eq_rhs)
     if not status.optimal:
         return False, None
-    resid = float(np.abs(np.array(eq_rows) @ mu - np.array(eq_rhs)).max())
+    resid = float(np.abs(eq_rows @ mu - eq_rhs).max())
     scale = 1.0 + float(np.abs(eq_rhs).max())
     if resid > 1e-7 * scale:
         return False, None
-    return True, _certificate(mu, assign, len(partition.blocks), A, b, anchor)
+    return True, _certificate(mu, assign, n_blocks, A, b, anchor)
 
 
 def _certificate(mu, assign, n_blocks, A, b, anchor) -> CoderivCertificate:
@@ -302,87 +295,53 @@ def _certificate(mu, assign, n_blocks, A, b, anchor) -> CoderivCertificate:
 
 
 def coderivative_norm(system: LinearSystem, partition: BlockPartition, anchor,
-                      tol: float = FEAS_TOL, max_cuts: int = 3000) -> CoderivNormReport:
+                      tol: float = FEAS_TOL) -> CoderivNormReport:
     """sup { sum mu_t : mu >= 0, ||sum mu_t a_t||_dual <= 1, anchor identity }.
 
     Finite Dirac combinations make ||p*|| = sum mu_t for any partition.  The
-    Euclidean ball is handled by outer cutting planes on top of the LP
-    solver, a route independent of the quadratic path inside lip_bound; the
-    two results are cross-asserted against the bound from lip_bound.
+    weights live on the rows active at the anchor, and by norm-minimization
+    duality the supremum equals min { ||v|| : <a_t, v> >= 1 on those rows },
+    the distance from 0 to that polyhedron in the system's norm.  It comes
+    from project_polyhedron (active set for euclid, epigraph LP for l1/linf),
+    and its point is checked row by row; an empty polyhedron (a Gordan ray)
+    gives +inf.  The certificate's cone weights are lip_bound's slice weights
+    over its min-norm value: they are dual feasible, so their mass (the
+    bound) is at most the value, and the cross-assert closes that gap.
     """
     validated(system, partition)
     anchor = _require_anchor(system, anchor, tol)
     lip = lip_bound(system, anchor, tol)
-    A = system.coefficient_matrix()
-    b = system.rhs_vector()
-    assign = np.array([partition.block_of()[t] for t in system.labels])
-    n_blocks = len(partition.blocks)
-
     if lip.regime == REGIME_SSC_FAILS:
         return CoderivNormReport(np.inf, None, lip.bound)
 
-    res = A @ anchor - b
-    active = np.where(np.abs(res) <= tol)[0]
-    if active.size == 0:
-        mu = np.zeros(A.shape[0])
-        cert = _certificate(mu, assign, n_blocks, A, b, anchor)
-        _cross_assert(0.0, lip.bound)
-        return CoderivNormReport(0.0, cert, lip.bound)
-
-    A_act = A[active]
-    dual_kind = system.norm.dual().kind
-    if dual_kind != "euclid":
-        status, mu_full = dual_ball_lp(A_act, np.ones(active.size), dual_kind)
-        if status.kind is StatusKind.UNBOUNDED:
-            value = np.inf
-            mu_full = None
-        elif status.optimal:
-            value = float(mu_full.sum())
-        else:
-            raise NonConvergentError(f"coderivative norm LP ended with {status.kind}")
-    else:
-        value, mu_full = _kelley_ball_max(A_act, max_cuts)
-
-    if mu_full is None:
-        cert = None
-    else:
-        mu = np.zeros(A.shape[0])
-        mu[active] = mu_full
-        cert = _certificate(mu, assign, n_blocks, A, b, anchor)
+    A = system.coefficient_matrix()
+    b = system.rhs_vector()
+    active = np.flatnonzero(np.abs(A @ anchor - b) <= tol)
+    value = _min_norm_above_one(A[active], system.norm) if active.size else 0.0
     _cross_assert(value, lip.bound)
-    return CoderivNormReport(float(value), cert, lip.bound)
+    if np.isinf(value):
+        return CoderivNormReport(np.inf, None, lip.bound)
+    mu = np.zeros(A.shape[0])
+    if lip.slice_weights is not None:
+        mu = lip.slice_weights / lip.min_norm_value
+    cert = _certificate(mu, block_assignment(system, partition), len(partition.blocks),
+                        A, b, anchor)
+    return CoderivNormReport(value, cert, lip.bound)
 
 
-def _kelley_ball_max(A_act, max_cuts):
-    """max sum(mu) over mu >= 0 with ||A_act^T mu||_2 <= 1 by outer cuts."""
-    k, n = A_act.shape
-    scale = 1.0 + float(np.abs(A_act).max())
-    cuts: list[np.ndarray] = []
-    cost = -np.ones(k)
-    for _ in range(max_cuts):
-        if cuts:
-            ub = np.array([A_act @ v for v in cuts])
-            status, mu = lp_solve_nonneg(cost, ub, np.ones(len(cuts)))
-        else:
-            status, mu = lp_solve_nonneg(cost, None, None)
-        if status.kind is StatusKind.UNBOUNDED:
-            ray = status.certificate[:k]
-            w = A_act.T @ ray
-            wn = float(np.linalg.norm(w))
-            if wn <= 1e-12 * scale * max(1.0, float(ray.sum())):
-                return np.inf, None
-            cuts.append(w / wn)
-            continue
-        if not status.optimal:
-            raise NonConvergentError(f"cutting-plane LP ended with {status.kind}")
-        w = A_act.T @ mu
-        wn = float(np.linalg.norm(w))
-        upper = float(mu.sum())
-        lower = upper / max(wn, 1.0)
-        if wn <= 1.0 + 1e-9 or upper - lower <= 1e-9 * max(1.0, lower):
-            return lower, mu / max(wn, 1.0)
-        cuts.append(w / wn)
-    raise NonConvergentError("coderivative-norm cutting planes hit the cap")
+def _min_norm_above_one(A_act, norm):
+    """min ||v|| s.t. A_act v >= 1, or +inf when no v qualifies."""
+    rows = [(-a, -1.0) for a in A_act]
+    try:
+        _, v = project_polyhedron(np.zeros(A_act.shape[1]), rows, norm)
+    except InfeasibleRegionError:
+        return np.inf
+    # each row is judged at the rounding scale of its own terms
+    slack = A_act @ v - 1.0
+    if (slack < -1e-9 * (1.0 + np.abs(A_act) @ np.abs(v))).any():
+        raise InternalCheckError(
+            f"coderivative-norm point misses an active row by {-float(slack.min())!r}")
+    return norm.value(v)
 
 
 def _cross_assert(value: float, lip: float):

@@ -1,6 +1,9 @@
 import io
 import json
+import re
+import shlex
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,3 +235,85 @@ class TestDocumentsOut:
         code, out = run(["ssc"], stdin_text=out, capsys=capsys)
         assert code == 0
         assert "ssc=true" in last_line(out)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def fenced_block(path, heading, lang=""):
+    """Body of the first fenced code block after ``heading`` in ``path``."""
+    text = path.read_text(encoding="utf-8")
+    section = text[text.index(heading):]
+    start = section.index("```" + lang + "\n") + len(lang) + 4
+    return section[start:section.index("```", start)]
+
+
+def shell_steps(block):
+    """(command, expected last line) pairs from a shell block.
+
+    A ``# `` comment after a command holds its verdict line; text after a
+    run of two or more spaces in the comment is an aside, not output.
+    """
+    steps, command = [], ""
+    for line in block.splitlines():
+        if line.startswith("# "):
+            steps[-1] = (steps[-1][0], re.split(r"\s{2,}", line[2:])[0])
+        elif line.strip():
+            command += line.rstrip("\\").strip() + " "
+            if not line.endswith("\\"):
+                steps.append((command.strip(), None))
+                command = ""
+    return steps
+
+
+def run_shell(command, capsys):
+    """Runs ``lipstab ... | lipstab ... > file`` through run_cli."""
+    command, _, target = command.partition(" > ")
+    text = None
+    for stage in command.split(" | "):
+        argv = shlex.split(stage)
+        assert argv[0] == "lipstab"
+        code, text = run(argv[1:], stdin_text=text, capsys=capsys)
+        assert code == 0, stage
+    if target:
+        Path(target).write_text(text)
+    return text
+
+
+# argv of each verdict line in docs/formats.md that runs in well under a
+# second, on the N = 2 paper example
+FORMATS_VERDICT_ARGV = {
+    "ssc": ["ssc"],
+    "dist": ["dist", "--anchor", "2,0"],
+    "lip": ["lip", "--anchor", "0,0"],
+    "codnorm": ["codnorm", "--anchor", "0,0"],
+    "eps_active": ["eps-active", "--anchor", "0,0", "--eps", "0.5"],
+}
+
+
+class TestDocExamples:
+    def test_readme_cli_examples(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        steps = shell_steps(fenced_block(ROOT / "README.md", "## CLI", "sh"))
+        assert sum(expected is not None for _, expected in steps) == 3
+        for command, expected in steps:
+            out = run_shell(command, capsys)
+            if expected is not None:
+                assert last_line(out) == expected, command
+
+    def test_formats_verdict_lines(self, tmp_path, capsys):
+        block = fenced_block(ROOT / "docs" / "formats.md", "## Verdict lines")
+        code, doc_text = run(["demo", "paper-example", "--N", "2"], capsys=capsys)
+        assert code == 0
+        path = tmp_path / "p2.json"
+        path.write_text(doc_text)
+        checked = set()
+        for line in block.splitlines():
+            key = line.split("=", 1)[0]
+            if key in FORMATS_VERDICT_ARGV:
+                argv = FORMATS_VERDICT_ARGV[key] + ["--system", str(path)]
+                code, out = run(argv, capsys=capsys)
+                assert code == 0
+                assert last_line(out) == line
+                checked.add(key)
+        assert checked == set(FORMATS_VERDICT_ARGV)

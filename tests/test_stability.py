@@ -375,10 +375,11 @@ class TestCoderivativeNorm:
         assert -sum(cert.p_star) == pytest.approx(rep.value, rel=1e-7)
         assert np.linalg.norm(cert.x_star) <= 1.0 + 1e-7
 
-    def test_linf_dual_ball_with_tied_ratio_rows(self):
+    @pytest.mark.parametrize("kind", ["l1", "linf", "euclid"])
+    def test_linf_dual_ball_with_tied_ratio_rows(self, kind):
         # n = 20, m = 300 boundary system, third draw of this generator.  Its
-        # dual-ball LP has tied leaving rows, one with pivot entry ~1e-11;
-        # pivoting on that one made the basis singular.
+        # linf dual-ball LP had tied leaving rows, one with pivot entry
+        # ~1e-11; pivoting on that one made the basis singular.
         rng = np.random.default_rng((21, 0, 1))
         for m in (500, 1000, 300):
             A = rng.normal(size=(m, 20))
@@ -386,9 +387,65 @@ class TestCoderivativeNorm:
             slack = np.concatenate([np.zeros(8), rng.uniform(0.3, 2.0, size=m - 8)])
         b = A @ x0 + slack
         rows = tuple((f"t{i}", A[i], float(b[i])) for i in range(m))
-        system = LinearSystem(20, rows, NormSpec("linf"))
+        system = LinearSystem(20, rows, NormSpec(kind))
         rep = coderivative_norm(system, BlockPartition.maximum(system.labels), x0)
-        assert rep.value == pytest.approx(lip_bound(system, x0).bound, rel=1e-6)
+        assert rep.value == pytest.approx(lip_bound(system, x0).bound, rel=1e-12)
+
+    def test_point_missing_an_active_row_is_a_failed_check(self, monkeypatch):
+        system = LinearSystem(2, (("t", [3.0, 4.0], 5.0),))
+
+        def short(x, rows, norm):
+            return 0.0, np.array([0.1, 0.1])  # 3 * 0.1 + 4 * 0.1 < 1
+
+        monkeypatch.setattr(stability, "project_polyhedron", short)
+        with pytest.raises(InternalCheckError, match="misses an active row"):
+            coderivative_norm(system, BlockPartition.maximum(system.labels), [0.6, 0.8])
+
+
+# Active rows at the anchor 0 (rhs 0) with 0 outside their hull, plus slack
+# rows; each set is degenerate in a different way.
+_DEGENERATE_ACTIVE = {
+    "duplicated": [[1.0, 0.5, 0.0], [1.0, 0.5, 0.0], [1.0, -0.3, 0.2]],
+    "parallel": [[1.0, 0.5, 0.0], [2.0, 1.0, 0.0], [0.5, 0.25, 0.0], [1.0, -0.3, 0.2]],
+    "rank_deficient": [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, -1.0, 0.0],
+                       [2.0, 0.5, 0.0]],
+}
+
+
+def _scipy_coderivative_norm(A_act, kind):
+    """max 1^T mu over mu >= 0 with ||A_act^T mu||_dual <= 1, by scipy."""
+    from scipy.optimize import linprog, nnls
+
+    k, n = A_act.shape
+    if kind == "euclid":
+        # nu / 1^T nu are the min-norm weights of co{a_t}; the value is 1/||u||
+        nu, _ = nnls(np.vstack([A_act.T, np.ones(k)]), np.eye(n + 1)[n])
+        return 1.0 / np.linalg.norm(A_act.T @ (nu / nu.sum()))
+    if kind == "l1":  # dual linf: -1 <= A^T mu <= 1
+        res = linprog(-np.ones(k), A_ub=np.vstack([A_act.T, -A_act.T]),
+                      b_ub=np.ones(2 * n), method="highs")
+    else:  # dual l1: -s <= A^T mu <= s, sum s <= 1, over (mu, s)
+        eye = np.eye(n)
+        A_ub = np.vstack([np.hstack([A_act.T, -eye]), np.hstack([-A_act.T, -eye]),
+                          np.concatenate([np.zeros(k), np.ones(n)])[None, :]])
+        b_ub = np.concatenate([np.zeros(2 * n), [1.0]])
+        res = linprog(-np.concatenate([np.ones(k), np.zeros(n)]), A_ub=A_ub,
+                      b_ub=b_ub, method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+@pytest.mark.parametrize("kind", ["l1", "linf", "euclid"])
+@pytest.mark.parametrize("case", sorted(_DEGENERATE_ACTIVE))
+def test_coderivative_norm_matches_scipy_on_degenerate_active_rows(case, kind):
+    pytest.importorskip("scipy")
+    A_act = np.array(_DEGENERATE_ACTIVE[case])
+    rows = [(f"a{i}", a, 0.0) for i, a in enumerate(A_act)]
+    rows += [("s0", [0.0, 0.0, 1.0], 1.0), ("s1", [0.0, 0.0, -1.0], 1.0),
+             ("s2", [-1.0, 0.0, 0.0], 2.0)]
+    system = LinearSystem(3, tuple(rows), NormSpec(kind))
+    rep = coderivative_norm(system, BlockPartition.maximum(system.labels), [0.0, 0.0, 0.0])
+    assert rep.value == pytest.approx(_scipy_coderivative_norm(A_act, kind), rel=1e-9)
 
 
 class TestEpsActive:
