@@ -366,10 +366,11 @@ def distance_convex(fs, p, x, cfg: CutConfig = CutConfig(),
     p = np.asarray(p, dtype=float)
     if p.shape != (len(fs),):
         raise ValueError("p must carry one value per convex inequality")
-    rows = []
+    cuts, rhs = [], []
     for j, f in enumerate(fs):
         val, u = eval_sub(f, x)
-        rows.append((u, float(u @ x - val) + p[j]))
+        cuts.append(u)
+        rhs.append(float(u @ x - val) + p[j])
     y = x
     for _ in range(max_cuts):
         viols = np.array([f.value(y) - p[j] for j, f in enumerate(fs)])
@@ -377,9 +378,10 @@ def distance_convex(fs, p, x, cfg: CutConfig = CutConfig(),
             return norm_value(norm.kind, y - x)
         for j in np.where(viols > tol)[0]:
             val, u = eval_sub(fs[j], y)
-            rows.append((u, float(u @ y - val) + p[j]))
+            cuts.append(u)
+            rhs.append(float(u @ y - val) + p[j])
         try:
-            _, y = project_polyhedron(x, rows, norm)
+            _, y = project_polyhedron(x, np.array(cuts), np.array(rhs), norm)
         except InfeasibleRegionError:
             raise InfeasibleRegionError(
                 "linearized region is empty, so the convex region is empty")

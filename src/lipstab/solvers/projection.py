@@ -54,21 +54,19 @@ def _project_euclid(x, A, b, start, maxiter):
             work.pop(int(np.argmin(mu)))
             continue
         Ap = A @ p
-        gaps = b - A @ y
-        blocking = [
-            (gaps[i] / Ap[i], i)
-            for i in range(A.shape[0])
-            if i not in work and Ap[i] > tol
-        ]
-        alpha = min((g for g, _ in blocking), default=1.0)
+        blocking = Ap > tol
+        blocking[work] = False
+        rows = np.flatnonzero(blocking)
+        steps = (b - A @ y)[rows] / Ap[rows]
+        alpha = float(steps.min(initial=1.0))
         if alpha >= 1.0:
             y = z
             # constraints newly active at the unconstrained-on-W optimum
             continue
         alpha = max(alpha, 0.0)
         y = y + alpha * p
-        hit = min(i for g, i in blocking if g <= alpha + tol)
-        work.append(hit)
+        # ties go to the lowest-index row among the blocking ones
+        work.append(rows[np.argmax(steps <= alpha + tol)])
     raise NonConvergentError("projection active-set hit iteration cap")
 
 
@@ -98,18 +96,22 @@ def _project_lp(x, A, b, kind):
     return float(c @ z), z[:n]
 
 
-def project_polyhedron(x, rows, norm: NormSpec = NormSpec(), check_feasible: bool = True,
+def project_polyhedron(x, A, b, norm: NormSpec = NormSpec(), check_feasible: bool = True,
                        start=None, maxiter: int = 10_000):
-    """Distance from x to {y : <a_t, y> <= b_t} and an attaining point.
+    """Distance from x to {y : A y <= b} and an attaining point.
 
-    ``rows`` is a list of (coefficient vector, rhs).  ``start`` may supply a
-    known feasible point, skipping the phase-1 LP.  Zero coefficient rows are
-    vacuous when their rhs is >= 0 and make the region empty otherwise.
-    Raises InfeasibleRegionError for an empty region.
+    ``A`` is an (m, n) array and ``b`` a length-m vector, for x of length n;
+    other shapes raise ValueError.  ``start`` may supply a known feasible
+    point, skipping the phase-1 LP.  Zero coefficient rows are vacuous when
+    their rhs is >= 0 and make the region empty otherwise.  Raises
+    InfeasibleRegionError for an empty region.
     """
     x = np.asarray(x, dtype=float)
-    A = np.array([np.asarray(a, dtype=float) for a, _ in rows]).reshape(len(rows), -1)
-    b = np.array([float(v) for _, v in rows])
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if x.ndim != 1 or A.ndim != 2 or b.ndim != 1 or A.shape != (b.size, x.size):
+        raise ValueError(f"project_polyhedron needs A (m, n), b (m,) and x (n,); "
+                         f"got A {A.shape}, b {b.shape}, x {x.shape}")
     keep = ~np.all(np.abs(A) < 1e-300, axis=1)
     if np.any(b[~keep] < -1e-12):
         raise InfeasibleRegionError("a zero row with negative rhs empties the region")

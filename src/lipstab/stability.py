@@ -331,9 +331,9 @@ def coderivative_norm(system: LinearSystem, partition: BlockPartition, anchor,
 
 def _min_norm_above_one(A_act, norm):
     """min ||v|| s.t. A_act v >= 1, or +inf when no v qualifies."""
-    rows = [(-a, -1.0) for a in A_act]
     try:
-        _, v = project_polyhedron(np.zeros(A_act.shape[1]), rows, norm)
+        _, v = project_polyhedron(np.zeros(A_act.shape[1]), -A_act,
+                                  np.full(A_act.shape[0], -1.0), norm)
     except InfeasibleRegionError:
         return np.inf
     # each row is judged at the rounding scale of its own terms

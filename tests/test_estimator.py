@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,18 @@ from conftest import (
     random_partition,
     ssc_failing_feasible,
 )
-from lipstab.estimator import SamplingConfig, empirical_lip, partition_compare
-from lipstab.model import BlockPartition, LinearSystem
-from lipstab.stability import lip_bound
+from lipstab import estimator
+from lipstab.errors import InfeasibleRegionError
+from lipstab.estimator import (
+    SamplingConfig,
+    _sphere_direction,
+    empirical_lip,
+    partition_compare,
+)
+from lipstab.model import BlockPartition, LinearSystem, block_assignment, block_residual_sup
+from lipstab.norms import NormSpec
+from lipstab.solvers.projection import project_polyhedron
+from lipstab.stability import check_ssc, lip_bound
 
 
 def test_config_validation():
@@ -107,3 +118,173 @@ def test_partition_compare_ssc_failure(rng):
     cfg = SamplingConfig(radii=(1e-2,), samples_per_radius=2, seed=0)
     rep = partition_compare(system, [part], xbar, cfg)
     assert np.isinf(rep.lip) and rep.ordered
+
+
+# --- chunked guess-and-verify numerators against the exact projection ---
+
+def _reference_report(system, partition, anchor, cfg):
+    """The per-sample loop: same RNG streams, every numerator from project_polyhedron."""
+    ssc = check_ssc(system)
+    A, b = system.coefficient_matrix(), system.rhs_vector()
+    assign = block_assignment(system, partition)
+    n, k = system.dimension, len(partition.blocks)
+    stats = []
+    for r_idx, radius in enumerate(cfg.radii):
+        q = np.empty(cfg.samples_per_radius)
+        zoz = 0
+        for i in range(cfg.samples_per_radius):
+            rng = np.random.default_rng((cfg.seed, r_idx, i))
+            x = np.asarray(anchor, dtype=float)
+            if cfg.perturb_anchor:
+                dx = _sphere_direction(rng, system.norm.kind, n)
+                x = x + (radius * rng.uniform() ** (1.0 / n)) * dx
+            dp = _sphere_direction(rng, "linf", k)
+            p = (radius * rng.uniform() ** (1.0 / k)) * dp
+            res = A @ x - b
+            den = max(float((block_residual_sup(res, assign, k) - p).max()), 0.0)
+            start = ssc.slater_point
+            if (A @ start - b - p[assign]).max() > 0.0:
+                start = None
+            try:
+                num, _ = project_polyhedron(x, A, b + p[assign], system.norm,
+                                            check_feasible=start is None, start=start)
+            except InfeasibleRegionError:
+                q[i] = np.inf
+                continue
+            if den <= 1e-12:
+                q[i] = 0.0 if num <= 1e-9 else np.inf
+                zoz += num <= 1e-9
+            else:
+                q[i] = num / den
+        stats.append((float(q.max()), zoz))
+    return stats
+
+
+def _assert_matches_reference(rep, ref):
+    for stats, (best, zoz) in zip(rep.per_radius, ref):
+        # Quotients at radius 1e-3 divide distances near 1e-5 computed from
+        # inputs rounded near 1e-16, so two exact routes agree to about 1e-11.
+        # argmax_index is not compared: many samples tie within that rounding.
+        assert stats.max_quotient == pytest.approx(best, rel=1e-10)
+        assert stats.zero_over_zero == zoz
+
+
+def _spy_batches(monkeypatch):
+    """Records (X, RHS, Z, ok) of every batched guess-and-verify call."""
+    calls = []
+    real = estimator._guess_and_verify
+
+    def spy(A, X, RHS, W0):
+        Z, ok = real(A, X, RHS, W0)
+        calls.append((A, X, RHS, Z, ok))
+        return Z, ok
+    monkeypatch.setattr(estimator, "_guess_and_verify", spy)
+    return calls
+
+
+def _duplicated_active_rows():
+    # the first row twice: A_W A_W^T is singular at the anchor's active set
+    return LinearSystem(2, (("a", [1.0, 2.0], 0.0), ("a2", [1.0, 2.0], 0.0),
+                            ("b", [2.0, -1.0], 0.0), ("c", [-1.0, -1.0], 3.0)))
+
+
+def _rank_deficient_active_set():
+    # three active rows in R^2, the third the sum of the first two
+    return LinearSystem(2, (("a", [1.0, 0.0], 0.0), ("b", [0.0, 1.0], 0.0),
+                            ("c", [1.0, 1.0], 0.0), ("d", [-1.0, -1.0], 5.0)))
+
+
+def _cases(rng):
+    cases = []
+    for _ in range(4):
+        system, xbar = random_boundary_instance(rng, n=int(rng.integers(2, 5)),
+                                                m=int(rng.integers(6, 20)))
+        part = random_partition(rng, system.labels, int(rng.integers(1, 4)))
+        cases.append(("random", system, part, xbar, {}))
+    system, xbar = random_boundary_instance(rng, n=3, m=12)
+    cases.append(("max-partition", system, BlockPartition.maximum(system.labels), xbar, {}))
+    cases.append(("fixed-anchor", system, BlockPartition.maximum(system.labels), xbar,
+                  {"perturb_anchor": False}))
+    for name, build in (("duplicated", _duplicated_active_rows),
+                        ("rank-deficient", _rank_deficient_active_set)):
+        system = build()
+        cases.append((name, system, BlockPartition.maximum(system.labels), [0.0, 0.0], {}))
+    system = demo_truncation(40)
+    cases.append(("paper-40", system, BlockPartition.maximum(system.labels), [0.0, 0.0], {}))
+    for kind in ("l1", "linf"):
+        system = demo_truncation(6, NormSpec(kind))
+        cases.append((kind, system, BlockPartition.maximum(system.labels), [0.0, 0.0], {}))
+    return cases
+
+
+def test_batched_numerators_match_exact_projection(rng, monkeypatch):
+    calls = _spy_batches(monkeypatch)
+    verified = 0
+    for name, system, part, anchor, extra in _cases(rng):
+        cfg = SamplingConfig(radii=(1e-1, 1e-3), samples_per_radius=150, seed=7, **extra)
+        calls.clear()
+        rep = empirical_lip(system, part, anchor, cfg)
+        _assert_matches_reference(rep, _reference_report(system, part, anchor, cfg))
+        if system.norm.kind != "euclid":
+            assert not calls  # the batch is skipped for l1/linf
+        for A, X, RHS, Z, ok in calls:
+            if name in ("duplicated", "rank-deficient"):
+                assert not ok.any()  # singular Gram matrix: every sample falls back
+            for s in np.flatnonzero(ok):
+                d, _ = project_polyhedron(X[s], A, RHS[s])
+                # relative 1e-12, down to the rounding of x itself for tiny distances
+                floor = 1e-15 * (1.0 + np.abs(X[s]).max())
+                assert np.linalg.norm(X[s] - Z[s]) == pytest.approx(d, rel=1e-12, abs=floor)
+                verified += 1
+    assert verified > 500
+
+
+def test_perturbed_multipliers_are_rejected(rng, monkeypatch):
+    system, xbar = random_boundary_instance(rng, n=4, m=12)
+    part = random_partition(rng, system.labels, 3)
+    cfg = SamplingConfig(radii=(1e-1, 1e-2), samples_per_radius=300, seed=5)
+    clean = empirical_lip(system, part, xbar, cfg)
+    real = estimator._working_set_multipliers
+
+    def perturbed(Aw, X, rhs_w):
+        mu = real(Aw, X, rhs_w)
+        return None if mu is None else mu + 1e-6
+    monkeypatch.setattr(estimator, "_working_set_multipliers", perturbed)
+    calls = _spy_batches(monkeypatch)
+    rep = empirical_lip(system, part, xbar, cfg)
+    # no guess passes the checks: every sample given to the batch falls back
+    assert calls and not any(ok.any() for *_, ok in calls)
+    assert sum(s.fallbacks for s in rep.per_radius) == sum(len(ok) for *_, ok in calls)
+    for a, b in zip(clean.per_radius, rep.per_radius):
+        assert b.fallbacks > a.fallbacks
+        assert b.max_quotient == pytest.approx(a.max_quotient, rel=1e-12)
+        assert b.zero_over_zero == a.zero_over_zero
+
+
+def test_fallback_counts():
+    # one active row: the anchor's active set is always the right guess
+    system = LinearSystem(2, (("t", [3.0, 4.0], 5.0), ("u", [-1.0, 0.0], 4.0)))
+    part = BlockPartition.maximum(system.labels)
+    cfg = SamplingConfig(radii=(1e-1, 1e-2), samples_per_radius=300, seed=4)
+    rep = empirical_lip(system, part, [0.6, 0.8], cfg)
+    assert [s.fallbacks for s in rep.per_radius] == [0, 0]
+    # rows t x1 <= 1 turn active away from the anchor, so guesses fail
+    system = demo_truncation(40)
+    part = BlockPartition.maximum(system.labels)
+    cfg = SamplingConfig(radii=(1e-1,), samples_per_radius=200, seed=3)
+    rep = empirical_lip(system, part, [0.0, 0.0], cfg)
+    assert rep.per_radius[0].fallbacks == 117
+
+
+def test_chunked_memory_stays_small():
+    # maximum partition of the N = 5000 family: p has 5001 entries per sample
+    system = demo_truncation(5000)
+    part = BlockPartition.maximum(system.labels)
+    cfg = SamplingConfig(radii=(1e-1,), samples_per_radius=500, seed=0)
+    tracemalloc.start()
+    try:
+        empirical_lip(system, part, [0.0, 0.0], cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20

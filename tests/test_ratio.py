@@ -28,7 +28,7 @@ def test_box_interior_hull_point_beats_vertices():
     # gives (2 - 1) / ||(1/2,1/2)|| = sqrt(2); cross-checked by projection
     x = np.array([2.0, 2.0])
     val = max_ratio_over_hull(BOX, x)
-    dist, _ = project_polyhedron(x, list(zip(BOX.coefficients, BOX.offsets)))
+    dist, _ = project_polyhedron(x, BOX.coefficients, BOX.offsets)
     assert val == pytest.approx(np.sqrt(2.0), abs=1e-8)
     assert val == pytest.approx(dist, rel=1e-8)
     assert val > 1.0 + 0.4
@@ -84,7 +84,7 @@ def test_matches_projection_on_random_ssc_instances(rng):
         b = system.rhs_vector()
         x = xhat + rng.normal(size=system.dimension) * rng.uniform(0.5, 3.0)
         val = max_ratio_over_hull(gens(A, b), x)
-        dist, _ = project_polyhedron(x, list(zip(A, b)), start=xhat)
+        dist, _ = project_polyhedron(x, A, b, start=xhat)
         assert val == pytest.approx(dist, rel=1e-7, abs=1e-9)
 
 
@@ -155,5 +155,5 @@ def test_polyhedral_norms_match_lp_projection(rng, kind):
         b = system.rhs_vector()
         x = xhat + rng.normal(size=3) * 2.0
         val = max_ratio_over_hull(gens(A, b), x, norm)
-        dist, _ = project_polyhedron(x, list(zip(A, b)), norm, start=xhat)
+        dist, _ = project_polyhedron(x, A, b, norm, start=xhat)
         assert val == pytest.approx(dist, rel=1e-7, abs=1e-9)

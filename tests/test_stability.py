@@ -230,7 +230,7 @@ class TestDistanceFormula:
             from lipstab.model import perturbed_system
             pert = perturbed_system(system, part, p)
             dist, _ = project_polyhedron(
-                x, list(zip(pert.coefficient_matrix(), pert.rhs_vector())))
+                x, pert.coefficient_matrix(), pert.rhs_vector())
             assert d == pytest.approx(dist, rel=1e-7, abs=1e-9)
 
 
@@ -394,7 +394,7 @@ class TestCoderivativeNorm:
     def test_point_missing_an_active_row_is_a_failed_check(self, monkeypatch):
         system = LinearSystem(2, (("t", [3.0, 4.0], 5.0),))
 
-        def short(x, rows, norm):
+        def short(x, A, b, norm):
             return 0.0, np.array([0.1, 0.1])  # 3 * 0.1 + 4 * 0.1 < 1
 
         monkeypatch.setattr(stability, "project_polyhedron", short)
