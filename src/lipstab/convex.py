@@ -353,12 +353,12 @@ def _refine_centers(lin: LinearizedSystem, report: LipReport, anchor):
 
 
 def distance_convex(fs, p, x, cfg: CutConfig = CutConfig(),
-                    norm: NormSpec = NormSpec(), tol: float = 1e-8,
-                    max_cuts: int = 500) -> float:
+                    norm: NormSpec = NormSpec(), tol: float = 1e-8) -> float:
     """dist(x; {y : f_j(y) <= p_j}) by Kelley cutting planes.
 
     Projects onto the current linearization, cuts every violated inequality
-    at the projection, and repeats until the worst violation is below tol.
+    at the projection, and repeats until the worst violation is below tol;
+    after 500 rounds it raises NonConvergentError with the last projection.
     The linearized region contains the true one, so emptiness of the
     linearization certifies emptiness of the convex region.
     """
@@ -372,7 +372,7 @@ def distance_convex(fs, p, x, cfg: CutConfig = CutConfig(),
         cuts.append(u)
         rhs.append(float(u @ x - val) + p[j])
     y = x
-    for _ in range(max_cuts):
+    for _ in range(500):
         viols = np.array([f.value(y) - p[j] for j, f in enumerate(fs)])
         if float(viols.max()) <= tol:
             return norm_value(norm.kind, y - x)

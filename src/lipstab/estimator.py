@@ -206,8 +206,7 @@ def empirical_lip(system: LinearSystem, partition: BlockPartition, anchor,
         for s in todo:
             start = witness if (witness_res - P[s, assign]).max() <= 0.0 else None
             try:
-                num[s], _ = project_polyhedron(X[s], A, RHS[s], system.norm,
-                                               check_feasible=start is None, start=start)
+                num[s], _ = project_polyhedron(X[s], A, RHS[s], system.norm, start=start)
             except InfeasibleRegionError:
                 num[s] = np.inf  # dist(x; empty set) = +inf by convention
         return num, todo.size

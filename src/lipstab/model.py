@@ -3,11 +3,15 @@
 A system is a finite family of inequalities <a_t, x> <= b_t indexed by string
 labels.  A partition groups the labels into blocks; a perturbation adds one
 scalar per block to the right-hand sides.  All objects are immutable after
-construction; construction is permissive and `validate` reports every
-structural violation instead of repairing anything.
+construction.  A system owns one read-only (m, n) coefficient matrix (its
+rows are views of it), b and the labels, and the helpers here use those
+arrays.  Construction is permissive: rows of the wrong length leave a system
+without a matrix, and only `validate` reports them, along with every other
+structural violation, instead of repairing anything.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +28,11 @@ class LinearSystem:
     """Nominal system {<a_t, x> <= b_t, t in T} over R^dimension.
 
     ``rows`` is an ordered tuple of (label, coefficient vector, rhs) triples.
-    Zero coefficient rows are kept; they encode 0 <= b_t + p_j.
+    Zero coefficient rows are kept; they encode 0 <= b_t + p_j.  The
+    coefficients are copied once into a read-only matrix that the system
+    owns, and each row's vector is a view of it.  A row whose length is not
+    ``dimension`` leaves the system without a matrix: its rows keep
+    read-only copies, and only `validate` reports them.
     """
 
     dimension: int
@@ -32,35 +40,38 @@ class LinearSystem:
     norm: NormSpec = field(default_factory=NormSpec)
 
     def __post_init__(self):
-        frozen = []
-        for label, a, b in self.rows:
-            arr = np.atleast_1d(np.asarray(a, dtype=float))
+        triples = tuple(self.rows)
+        labels = tuple(str(label) for label, _, _ in triples)
+        coeffs = [np.array(a, dtype=float, ndmin=1) for _, a, _ in triples]
+        rhs = np.array([float(b) for _, _, b in triples])
+        matrix = None
+        if self.dimension >= 1 and all(a.shape == (self.dimension,) for a in coeffs):
+            matrix = coeffs = np.array(coeffs) if coeffs else np.zeros((0, self.dimension))
+        for arr in (rhs, *coeffs) if matrix is None else (rhs, matrix):
             arr.setflags(write=False)
-            frozen.append((str(label), arr, float(b)))
-        object.__setattr__(self, "rows", tuple(frozen))
+        # rows iterated from the read-only matrix are read-only views of it
+        self.__dict__.update(rows=tuple(zip(labels, coeffs, rhs.tolist())),
+                             _labels=labels, _matrix=matrix, _rhs=rhs)
 
     @property
     def labels(self) -> tuple:
-        return tuple(label for label, _, _ in self.rows)
+        return self._labels
 
     def coefficient_matrix(self) -> np.ndarray:
-        """Stacked coefficient rows; requires a validated (rectangular) system."""
-        if not self.rows:
-            return np.zeros((0, self.dimension))
-        return np.vstack([a for _, a, _ in self.rows])
+        """The system's own read-only (m, n) matrix; ValidationError if ragged."""
+        if self._matrix is None:
+            raise ValidationError(f"rows do not all have {self.dimension} entries")
+        return self._matrix
 
     def rhs_vector(self) -> np.ndarray:
-        return np.array([b for _, _, b in self.rows], dtype=float)
+        return self._rhs
 
     def residuals(self, x) -> np.ndarray:
         """<a_t, x> - b_t for every row, in row order."""
-        x = np.asarray(x, dtype=float)
-        return self.coefficient_matrix() @ x - self.rhs_vector()
+        return self.coefficient_matrix() @ np.asarray(x, dtype=float) - self._rhs
 
     def is_feasible(self, x, tol: float = FEAS_TOL) -> bool:
-        if not self.rows:
-            return True
-        return bool(self.residuals(x).max() <= tol)
+        return bool(self.residuals(x).max(initial=-np.inf) <= tol)
 
     def subsystem(self, labels) -> "LinearSystem":
         keep = set(labels)
@@ -89,11 +100,7 @@ class BlockPartition:
 
     def block_of(self) -> dict:
         """Maps each row label to the index of its block."""
-        out = {}
-        for idx, (_, members) in enumerate(self.blocks):
-            for t in members:
-                out[t] = idx
-        return out
+        return {t: idx for idx, (_, members) in enumerate(self.blocks) for t in members}
 
     @staticmethod
     def minimum(labels) -> "BlockPartition":
@@ -166,28 +173,34 @@ def validate(system: LinearSystem, partition: BlockPartition | None = None) -> V
     Violations are reported, never silently repaired.
     """
     issues = []
-    if system.dimension < 1:
-        issues.append(f"dimension must be positive, got {system.dimension}")
-    seen = set()
-    for label, a, b in system.rows:
-        if label in seen:
+    dim, labels, A = system.dimension, system.labels, system._matrix
+    if dim < 1:
+        issues.append(f"dimension must be positive, got {dim}")
+    m = len(labels)
+    first = dict(zip(labels[::-1], range(m - 1, -1, -1)))  # label -> its first row
+    repeated = np.ones(m, dtype=bool)
+    repeated[list(first.values())] = False
+    if A is not None:
+        wrong_length, finite = np.zeros(m, dtype=bool), np.isfinite(A).all(axis=1)
+    else:  # no matrix: some row's length is wrong, so check each row's array
+        wrong_length = np.array([a.shape != (dim,) for _, a, _ in system.rows], dtype=bool)
+        finite = np.array([np.isfinite(a).all() for _, a, _ in system.rows], dtype=bool)
+    bad_rhs = ~np.isfinite(system.rhs_vector())
+    for i in np.flatnonzero(repeated | wrong_length | ~finite | bad_rhs):
+        label, a, _ = system.rows[i]
+        if repeated[i]:
             issues.append(f"duplicate row label {label!r}")
-        seen.add(label)
-        if a.ndim != 1 or a.shape[0] != system.dimension:
-            issues.append(
-                f"row {label!r} has {a.shape[0] if a.ndim == 1 else a.shape} entries "
-                f"in a {system.dimension}-dimensional system"
-            )
-        elif not np.all(np.isfinite(a)):
+        if wrong_length[i]:
+            issues.append(f"row {label!r} has {a.shape[0] if a.ndim == 1 else a.shape} "
+                          f"entries in a {dim}-dimensional system")
+        elif not finite[i]:
             issues.append(f"row {label!r} has non-finite coefficients")
-        if not np.isfinite(b):
+        if bad_rhs[i]:
             issues.append(f"row {label!r} has non-finite rhs")
-    if not system.rows:
+    if not m:
         issues.append("system has no rows")
 
     if partition is not None:
-        labels = set(seen)
-        covered = []
         block_seen = set()
         for j, members in partition.blocks:
             if j in block_seen:
@@ -195,17 +208,14 @@ def validate(system: LinearSystem, partition: BlockPartition | None = None) -> V
             block_seen.add(j)
             if not members:
                 issues.append(f"block {j!r} is empty")
-            covered.extend(members)
-        counts = {}
-        for t in covered:
-            counts[t] = counts.get(t, 0) + 1
+        counts = Counter(t for _, members in partition.blocks for t in members)
         overlaps = sorted(t for t, c in counts.items() if c > 1)
         if overlaps:
             issues.append(f"labels appear in more than one block: {overlaps}")
-        missing = sorted(labels - set(covered))
+        missing = sorted(first.keys() - counts.keys())
         if missing:
             issues.append(f"partition does not cover index set (missing {missing})")
-        extra = sorted(set(covered) - labels)
+        extra = sorted(counts.keys() - first.keys())
         if extra:
             issues.append(f"partition references unknown labels {extra}")
     return ValidationReport(tuple(issues))
@@ -257,10 +267,7 @@ def characteristic_generators(
     """One generator (a_t, b_t + p_j) per row, in row order."""
     validated(system, partition)
     check_perturbation(partition, p)
-    block_idx = partition.block_of()
-    offsets = np.array(
-        [b + p.values[block_idx[label]] for label, _, b in system.rows], dtype=float
-    )
+    offsets = system.rhs_vector() + np.array(p.values)[block_assignment(system, partition)]
     return CharacteristicSet(system.coefficient_matrix(), offsets, system.labels)
 
 
@@ -269,8 +276,5 @@ def perturbed_system(
 ) -> LinearSystem:
     """The system sigma_J(p): rhs shifted by the block value of each row."""
     gens = characteristic_generators(system, partition, p)
-    rows = tuple(
-        (label, a, float(off))
-        for (label, a, _), off in zip(system.rows, gens.offsets)
-    )
+    rows = tuple(zip(system.labels, gens.coefficients, gens.offsets.tolist()))
     return LinearSystem(system.dimension, rows, system.norm)

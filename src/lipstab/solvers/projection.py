@@ -16,10 +16,10 @@ from .simplex import StatusKind, lp_solve
 
 
 def _feasible_point(A, b):
-    """Phase-1 LP witness that {A y <= b} is nonempty, or None."""
+    """Phase-1 LP witness that {A y <= b} is nonempty; raises if it is empty."""
     status, x = lp_solve(np.zeros(A.shape[1]), A, b)
     if status.kind is StatusKind.INFEASIBLE:
-        return None
+        raise InfeasibleRegionError("polyhedron is empty")
     return x
 
 
@@ -34,7 +34,7 @@ def _eqp_step(x, A, b, work):
     return x - Aw.T @ mu, mu
 
 
-def _project_euclid(x, A, b, start, maxiter):
+def _project_euclid(x, A, b, start):
     res = A @ x - b
     if res.max() <= 0.0:
         return 0.0, x.copy()
@@ -45,7 +45,7 @@ def _project_euclid(x, A, b, start, maxiter):
     if resy.max() > 1e-7 * scale:
         raise InfeasibleRegionError("starting point is not feasible")
     work = list(np.where(resy > -tol)[0][: A.shape[1]])
-    for _ in range(maxiter):
+    for _ in range(10_000):
         z, mu = _eqp_step(x, A, b, work)
         p = z - y
         if float(np.abs(p).max(initial=0.0)) <= 1e-13 * (1.0 + np.abs(y).max()):
@@ -96,15 +96,16 @@ def _project_lp(x, A, b, kind):
     return float(c @ z), z[:n]
 
 
-def project_polyhedron(x, A, b, norm: NormSpec = NormSpec(), check_feasible: bool = True,
-                       start=None, maxiter: int = 10_000):
+def project_polyhedron(x, A, b, norm: NormSpec = NormSpec(), start=None):
     """Distance from x to {y : A y <= b} and an attaining point.
 
     ``A`` is an (m, n) array and ``b`` a length-m vector, for x of length n;
-    other shapes raise ValueError.  ``start`` may supply a known feasible
-    point, skipping the phase-1 LP.  Zero coefficient rows are vacuous when
-    their rhs is >= 0 and make the region empty otherwise.  Raises
-    InfeasibleRegionError for an empty region.
+    other shapes raise ValueError.  Without ``start`` a phase-1 LP finds a
+    feasible point or shows the region empty; a known feasible ``start``
+    skips it.  Zero coefficient rows are vacuous when their rhs is >= 0 and
+    make the region empty otherwise.  Raises InfeasibleRegionError for an
+    empty region, and NonConvergentError after 10 000 Euclidean active-set
+    steps.
     """
     x = np.asarray(x, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -118,13 +119,8 @@ def project_polyhedron(x, A, b, norm: NormSpec = NormSpec(), check_feasible: boo
     A, b = A[keep], b[keep]
     if A.shape[0] == 0:
         return 0.0, x.copy()
-    feas = None
-    if start is not None:
-        feas = np.asarray(start, dtype=float)
-    elif check_feasible or norm.kind == "euclid":
-        feas = _feasible_point(A, b)
-        if feas is None:
-            raise InfeasibleRegionError("polyhedron is empty")
+    if start is None:
+        start = _feasible_point(A, b)
     if norm.kind == "euclid":
-        return _project_euclid(x, A, b, feas, maxiter)
+        return _project_euclid(x, A, b, np.asarray(start, dtype=float))
     return _project_lp(x, A, b, norm.kind)

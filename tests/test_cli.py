@@ -301,6 +301,21 @@ class TestDocExamples:
             if expected is not None:
                 assert last_line(out) == expected, command
 
+    def test_readme_library_examples(self, capsys):
+        """Each ``print(...)  # value`` line in the python blocks prints value."""
+        checked = []
+        for heading in ("## Library quick start", "Convex systems use function objects"):
+            block = fenced_block(ROOT / "README.md", heading, "python")
+            exec(block, {})
+            printed = capsys.readouterr().out.splitlines()
+            prints = [line for line in block.splitlines() if line.startswith("print(")]
+            assert len(printed) == len(prints)
+            for line, out in zip(prints, printed):
+                if "# " in line:
+                    assert out == line.split("# ", 1)[1].strip(), line
+                    checked.append(out)
+        assert checked == ["True", "0.7071067811865475", "0.5"]
+
     def test_formats_verdict_lines(self, tmp_path, capsys):
         block = fenced_block(ROOT / "docs" / "formats.md", "## Verdict lines")
         code, doc_text = run(["demo", "paper-example", "--N", "2"], capsys=capsys)

@@ -146,8 +146,7 @@ def _reference_report(system, partition, anchor, cfg):
             if (A @ start - b - p[assign]).max() > 0.0:
                 start = None
             try:
-                num, _ = project_polyhedron(x, A, b + p[assign], system.norm,
-                                            check_feasible=start is None, start=start)
+                num, _ = project_polyhedron(x, A, b + p[assign], system.norm, start=start)
             except InfeasibleRegionError:
                 q[i] = np.inf
                 continue

@@ -55,6 +55,64 @@ class TestValidate:
         with pytest.raises(ValidationError):
             validate(system, part).raise_if_rejected()
 
+    def test_messages_and_their_order(self):
+        inf, nan = float("inf"), float("nan")
+        system = LinearSystem(2, (("a", [1, 2], 0), ("a", [1, inf], 1),
+                                  ("b", [1], nan), ("c", [1, 2, 3], inf)))
+        part = BlockPartition((("B", ("a", "x")), ("B", ("a",))))
+        assert validate(system, part).issues == (
+            "duplicate row label 'a'",
+            "row 'a' has non-finite coefficients",
+            "row 'b' has 1 entries in a 2-dimensional system",
+            "row 'b' has non-finite rhs",
+            "row 'c' has 3 entries in a 2-dimensional system",
+            "row 'c' has non-finite rhs",
+            "duplicate block label 'B'",
+            "labels appear in more than one block: ['a']",
+            "partition does not cover index set (missing ['b', 'c'])",
+            "partition references unknown labels ['x']",
+        )
+
+    def test_messages_follow_row_order_on_a_rectangular_system(self):
+        # the repeat is reported at the later row, after the first row's issue
+        system = LinearSystem(2, (("a", [1.0, float("nan")], 0.0), ("b", [1.0, 2.0], 0.0),
+                                  ("a", [0.0, 0.0], 0.0)))
+        assert validate(system).issues == ("row 'a' has non-finite coefficients",
+                                           "duplicate row label 'a'")
+
+    def test_empty_system(self):
+        assert validate(LinearSystem(2, ())).issues == ("system has no rows",)
+
+    def test_ragged_system_has_no_matrix(self):
+        system = LinearSystem(2, (("t1", [1.0, 0.0], 0.0), ("t2", [1.0], 0.0)))
+        with pytest.raises(ValidationError):
+            system.coefficient_matrix()
+
+
+class TestOwnedArrays:
+    def test_caller_vector_stays_writeable(self):
+        a = np.array([1.0, 2.0])
+        system = LinearSystem(2, (("t", a, 0.0),))
+        a[0] = 5.0
+        assert system.rows[0][1].tolist() == [1.0, 2.0]
+
+    def test_rows_given_as_views_are_copied(self):
+        A = np.array([[1.0, 2.0], [3.0, 4.0]])
+        system = LinearSystem(2, (("t1", A[0], 0.0), ("t2", A[1], 1.0)))
+        A[0, 0] = 9.0
+        assert system.rows[0][1].tolist() == [1.0, 2.0]
+        assert system.coefficient_matrix().tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_arrays_are_stored_once_and_read_only(self):
+        system = two_row_system()
+        A, b = system.coefficient_matrix(), system.rhs_vector()
+        assert system.coefficient_matrix() is A and system.rhs_vector() is b
+        assert system.labels is system.labels
+        assert A.flags.owndata and not A.flags.writeable and not b.flags.writeable
+        for i, (_, a, _) in enumerate(system.rows):
+            assert a.base is A and not a.flags.writeable
+            assert np.array_equal(a, A[i])
+
 
 class TestResidualInverseDistance:
     def test_halfspace_violated(self):
