@@ -17,7 +17,7 @@ from .errors import InfeasibleAnchorError, InfeasibleRegionError, NonConvergentE
 from .model import BlockPartition, LinearSystem
 from .norms import NormSpec, norm_value
 from .solvers.projection import project_polyhedron
-from .solvers.simplex import StatusKind, lp_solve_nonneg
+from .solvers.simplex import lp_solve_nonneg
 from .stability import REGIME_SSC_FAILS, LipReport, lip_bound
 
 FY_TOL = 1e-9
@@ -117,8 +117,6 @@ class MaxAffineFn:
         eq = np.vstack([self.pieces_c.T, np.ones((1, k))])
         rhs = np.concatenate([u, [1.0]])
         status, theta = lp_solve_nonneg(-self.pieces_d, None, None, eq, rhs)
-        if status.kind is StatusKind.INFEASIBLE:
-            return np.inf
         if not status.optimal:
             return np.inf
         if np.abs(eq @ theta - rhs).max() > 1e-7 * (1.0 + np.abs(rhs).max()):

@@ -140,8 +140,8 @@ class CharacteristicSet:
     labels: tuple
 
     def __post_init__(self):
-        coeff = np.asarray(self.coefficients, dtype=float)
-        offs = np.asarray(self.offsets, dtype=float)
+        coeff = np.array(self.coefficients, dtype=float)
+        offs = np.array(self.offsets, dtype=float)
         coeff.setflags(write=False)
         offs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeff)

@@ -23,8 +23,9 @@ from .simplex import lp_solve_nonneg
 def zero_face_floor(A, alpha):
     """min alpha.lam over simplex weights with A^T lam = 0, and the weights.
 
-    Returns (floor, lam); (+inf, None) when no such weights exist.  A
-    nonpositive floor means co{(a_t, alpha_t)} meets {0} x (-inf, 0].
+    Returns (floor, lam); (+inf, None) when no such weights exist.  It is
+    the dual of the strong Slater margin LP, and the support of lam seeds
+    that LP's row generation in ``stability.check_ssc``.
     """
     m, n = A.shape
     eq = np.vstack([A.T, np.ones((1, m))])
@@ -68,12 +69,6 @@ def max_ratio_over_hull(generators, x, norm: NormSpec = NormSpec()) -> float:
     x = np.asarray(x, dtype=float)
     c = A @ x - alpha
 
-    norms_a = np.linalg.norm(A, axis=1)
-    if np.any(norms_a < 1e-300):
-        if zero_face_floor(A, alpha)[0] < -1e-12 * (1.0 + float(np.abs(alpha).max())):
-            return np.inf
-    if np.all(norms_a < 1e-300):
-        return 0.0
     if float(c.max()) <= 0.0:
         return 0.0
 

@@ -10,6 +10,7 @@ the strong Slater condition fails).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +47,9 @@ REGIME_SSC_FAILS = "SSCFails"
 class SSCReport:
     """Verdict of both strong-Slater routes; they must agree.
 
-    ``zero_face_floor`` is min{sum lam_t b_t} over hull weights with
-    sum lam_t a_t = 0 (+inf when no such weights exist); a nonpositive
-    floor means the hull meets {0} x (-inf, 0], which by LP duality is
-    exactly the failure of the strong Slater condition.  For consistent
-    systems this collapses to the plain membership (0,0) in the hull.
+    ``margin`` is min over x of max_t (<a_t, x> - b_t) from the LP route;
+    ``hull_gap`` is the distance from the origin to co({(a_t, b_t)} and
+    (0, s)), s = max|[A | b]|, from the hull route, which uses no LP.
     """
 
     holds: bool
@@ -59,7 +58,6 @@ class SSCReport:
     slater_point: np.ndarray | None
     lp_holds: bool
     hull_holds: bool
-    zero_face_floor: float = np.inf
 
 
 @dataclass(frozen=True)
@@ -102,43 +100,40 @@ class EpsActiveResult:
 def check_ssc(system: LinearSystem, tol: float = FEAS_TOL) -> SSCReport:
     """Certify the strong Slater condition by two independent routes.
 
-    Both routes start from the zero-face floor LP, min sum lam_t b_t over
-    simplex weights with sum lam_t a_t = 0 (n + 1 rows).  It is the dual of
-    the margin LP min s s.t. <a_t, x> - s <= b_t, so the support of its
-    weights is an optimal active set of the margin LP.
-
-    LP route: SSC holds iff the margin is < -tol (an unbounded margin LP
-    qualifies).  The margin LP is solved by row generation, seeded with
-    that support, or with the n + 1 rows of smallest b_t when no weights
-    exist; the margin is reported only once its point (or Gordan ray)
-    holds on all m rows, so the seed sets how many rounds run, never the
-    verdict.  Hull route: SSC holds iff the min-norm point of
-    co{(a_t, b_t)}, found by the NNLS kernel without any LP, stays away
-    from the origin and the floor is > tol.  The routes stay independent:
-    the margin comes from its own primal LP checked row by row, while the
-    hull verdict rests on the NNLS gap and the floor's value.  Disagreement
-    aborts with diagnostics.
+    Both compare with tol times s = max|[A | b]|, so scaling a system scales
+    its margin and hull gap and keeps its verdict.  LP route: SSC holds iff
+    the margin is < -tol s (an unbounded margin LP qualifies).  The margin
+    LP is solved by row generation, seeded with the support of the weights
+    of its dual, the zero-face floor LP (n + 1 rows), or with the n + 1 rows
+    of smallest b_t when no weights exist; the margin is reported only once
+    its point (or Gordan ray) holds on all m rows, so the seed sets how many
+    rounds run, never the verdict.  Hull route: SSC fails iff co{(a_t, b_t)}
+    meets the ray {0} x (-inf, 0], that is iff the origin lies in
+    co({(a_t, b_t)} and (0, s)); SSC holds iff the NNLS kernel finds that
+    hull's min-norm point > tol s from the origin.  This route reads no LP.
+    Disagreement aborts with diagnostics.
     """
     validated(system)
     A = system.coefficient_matrix()
     b = system.rhs_vector()
     n = A.shape[1]
+    hull = np.hstack([A, b[:, None]])
+    s = float(np.abs(hull).max())
 
-    floor, lam = zero_face_floor(A, b)
+    _, lam = zero_face_floor(A, b)
     if lam is None:
         seed = np.argsort(b, kind="stable")[:n + 1]
     else:
         seed = np.flatnonzero(lam > 0)
     margin, witness = _ssc_margin_lp(A, b, seed)
-    lp_holds = margin < -tol
+    lp_holds = margin < -tol * s
 
-    hull_gap, _, _, _, _ = min_norm_point(np.hstack([A, b[:, None]]))
-    hull_holds = hull_gap > tol and floor > tol
+    hull_gap, _, _, _, _ = min_norm_point(np.vstack([hull, s * np.eye(1, n + 1, n)]))
+    hull_holds = hull_gap > tol * s
 
     if lp_holds != hull_holds:
         raise InternalCheckError(
-            f"SSC verdicts disagree: LP margin {margin!r} vs hull gap {hull_gap!r} "
-            f"(zero-face floor {floor!r})"
+            f"SSC verdicts disagree: LP margin {margin!r} vs hull gap {hull_gap!r}"
         )
     return SSCReport(
         holds=lp_holds,
@@ -147,19 +142,23 @@ def check_ssc(system: LinearSystem, tol: float = FEAS_TOL) -> SSCReport:
         slater_point=witness if lp_holds else None,
         lp_holds=lp_holds,
         hull_holds=hull_holds,
-        zero_face_floor=floor,
     )
 
 
 def _ssc_margin_lp(A, b, seed):
     """min s s.t. <a_t, x> - s <= b_t on all rows, by row generation.
 
-    Each round solves the LP on the working rows (starting from seed) and
-    adds the n + 1 rows that its optimal point, or its improving ray,
-    violates most.  Returns (margin, witness) with max(A witness - b) at
-    most the margin up to rounding.
+    The LP runs on A and b divided by k = 2^floor(log2 max|[A | b]|), which
+    is exact, so the simplex's absolute tolerances fit every uniformly
+    scaled system; the margin is multiplied back by k.  Each round solves
+    the LP on the working rows (starting from seed) and adds the n + 1 rows
+    that its optimal point, or its improving ray, violates most.  Returns
+    (margin, witness) with max(A witness - b) at most the margin up to
+    rounding.
     """
     m, n = A.shape
+    k = math.ldexp(1.0, math.frexp(max(np.abs(A).max(), np.abs(b).max()))[1] - 1)
+    A, b = A / k, b / k
     objective = np.zeros(n + 1)
     objective[n] = 1.0
     lifted = np.hstack([A, -np.ones((m, 1))])
@@ -174,7 +173,7 @@ def _ssc_margin_lp(A, b, seed):
             violation = lifted @ z - b
             tol = 1e-12 * (1.0 + float(np.abs(b).max()))
             if violation.max() <= tol:
-                return float(z[n]), z[:n]
+                return k * float(z[n]), z[:n]
         elif status.kind is StatusKind.UNBOUNDED:
             ray = status.certificate
             if not ray[n] < 0:
@@ -188,7 +187,7 @@ def _ssc_margin_lp(A, b, seed):
                 # z need not hold on the rows outside the working set
                 s = float((A @ z[:n] - b).max())
                 witness = z[:n] + (abs(s) + 1.0) * d
-                return float((A @ witness - b).max()), witness
+                return k * float((A @ witness - b).max()), witness
         else:
             raise InternalCheckError(f"SSC LP ended with {status.kind}")
         violated = violation > tol

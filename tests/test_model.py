@@ -5,6 +5,7 @@ from conftest import demo_truncation, random_partition, random_ssc_system
 from lipstab.errors import ValidationError
 from lipstab.model import (
     BlockPartition,
+    CharacteristicSet,
     LinearSystem,
     Perturbation,
     characteristic_generators,
@@ -112,6 +113,13 @@ class TestOwnedArrays:
         for i, (_, a, _) in enumerate(system.rows):
             assert a.base is A and not a.flags.writeable
             assert np.array_equal(a, A[i])
+
+    def test_characteristic_set_copies_the_caller_arrays(self):
+        c, d = np.array([[1.0, 0.0]]), np.array([0.0])
+        gens = CharacteristicSet(c, d, ("t",))
+        c[0, 0], d[0] = 2.0, 3.0
+        assert gens.coefficients.tolist() == [[1.0, 0.0]] and gens.offsets.tolist() == [0.0]
+        assert not gens.coefficients.flags.writeable and not gens.offsets.flags.writeable
 
 
 class TestResidualInverseDistance:

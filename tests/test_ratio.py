@@ -38,27 +38,42 @@ def test_feasible_point_clips_to_zero():
     assert max_ratio_over_hull(BOX, [0.3, -0.4]) == 0.0
 
 
+# each case runs in every norm: the Euclidean NNLS and the l1/linf LP must
+# both reach the conventions without a zero-row special case
+NORMS = [NormSpec(kind) for kind in ("euclid", "l1", "linf")]
+
+
 def test_zero_generator_negative_offset_is_infinite():
     g = gens([[0.0, 0.0], [1.0, 0.0]], [-1.0, 1.0])
-    assert max_ratio_over_hull(g, [0.0, 0.0]) == np.inf
+    for norm in NORMS:
+        assert max_ratio_over_hull(g, [0.0, 0.0], norm) == np.inf
+
+
+def test_all_zero_generators_with_a_negative_offset_are_infinite():
+    g = gens([[0.0, 0.0], [0.0, 0.0]], [2.0, -1.0])
+    for norm in NORMS:
+        assert max_ratio_over_hull(g, [5.0, 5.0], norm) == np.inf
 
 
 def test_cancelling_generators_negative_offset_is_infinite():
     # x <= -1 and -x <= -1: the hull point (0, -1) is a mix of two nonzero
     # generators, so A^T nu vanishes only up to rounding
-    assert max_ratio_over_hull(gens([[1.0], [-1.0]], [-1.0, -1.0]), [0.0]) == np.inf
     tri = gens([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]], [-0.5, 0.2, 0.1])
-    assert max_ratio_over_hull(tri, [0.3, 0.7]) == np.inf
+    for norm in NORMS:
+        assert max_ratio_over_hull(gens([[1.0], [-1.0]], [-1.0, -1.0]), [0.0], norm) == np.inf
+        assert max_ratio_over_hull(tri, [0.3, 0.7], norm) == np.inf
 
 
 def test_zero_generator_nonnegative_offset_is_ignored():
     g = gens([[0.0, 0.0], [1.0, 0.0]], [0.5, 1.0])
-    assert max_ratio_over_hull(g, [2.0, 0.0]) == pytest.approx(1.0, abs=1e-9)
+    for norm in NORMS:
+        assert max_ratio_over_hull(g, [2.0, 0.0], norm) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_all_zero_generators_use_zero_over_zero_convention():
     g = gens([[0.0, 0.0], [0.0, 0.0]], [0.0, 2.0])
-    assert max_ratio_over_hull(g, [5.0, 5.0]) == 0.0
+    for norm in NORMS:
+        assert max_ratio_over_hull(g, [5.0, 5.0], norm) == 0.0
 
 
 def test_monotone_under_added_generators(rng):

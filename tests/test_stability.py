@@ -116,19 +116,39 @@ class TestSSCMarginLP:
         with pytest.raises(InternalCheckError):
             check_ssc(box_system())
 
+    def test_verdict_and_values_scale_with_the_system(self, rng):
+        for A, b in _margin_cases(rng):
+            rep = check_ssc(_system(A, b))
+            s = max(np.abs(A).max(), np.abs(b).max())
+            # the floor's absolute phase-1 test misjudges boundedness at 1e6
+            bounded = zero_face_floor(A, b)[1] is not None
+            for c in (1e-6, 1e6):
+                rep_c = check_ssc(_system(c * A, c * b))
+                assert rep_c.holds == rep.holds
+                assert abs(rep_c.hull_gap - c * rep.hull_gap) <= 1e-9 * c * s
+                if bounded:
+                    assert abs(rep_c.margin - c * rep.margin) <= 1e-9 * c * s
+                else:
+                    # the witness's step along the ray does not scale with c
+                    assert rep_c.margin < 0
+                    _assert_witness(c * A, c * b, rep_c.margin, rep_c.slater_point)
+
     def test_margin_does_not_depend_on_the_seed(self, rng):
         for A, b in _margin_cases(rng):
             m = A.shape[0]
-            runs = [stability._ssc_margin_lp(A, b, seed)
-                    for seed in (_floor_seed(A, b), np.zeros(0, dtype=int), np.arange(m))]
-            for margin, witness in runs:
-                _assert_witness(A, b, margin, witness)
-            if zero_face_floor(A, b)[1] is None:
-                # unbounded LP: the margin is that of the witness, and negative
-                assert all(margin < -1e-9 for margin, _ in runs)
-                continue
-            for margin, _ in runs[1:]:
-                assert abs(margin - runs[0][0]) <= 1e-12 * (1.0 + np.abs(b).max())
+            bounded = zero_face_floor(A, b)[1] is not None
+            for c in (1.0, 1e-6, 1e6):
+                A2, b2 = c * A, c * b
+                runs = [stability._ssc_margin_lp(A2, b2, seed)
+                        for seed in (_floor_seed(A2, b2), np.zeros(0, dtype=int), np.arange(m))]
+                for margin, witness in runs:
+                    _assert_witness(A2, b2, margin, witness)
+                if not bounded:
+                    # unbounded LP: the margin is that of the witness, and negative
+                    assert all(margin < -1e-9 * c for margin, _ in runs)
+                    continue
+                for margin, _ in runs[1:]:
+                    assert abs(margin - runs[0][0]) <= 1e-12 * (c + np.abs(b2).max())
 
     def test_margin_matches_highs(self, rng):
         linprog = pytest.importorskip("scipy.optimize").linprog
@@ -142,23 +162,19 @@ class TestSSCMarginLP:
 
         for A, b in _margin_cases(rng):
             ref = highs(A, b)
-            rep = check_ssc(_system(A, b))
-            scaled = [(c * A, c * b, c * ref) for c in (1e-6, 1e6)]
+            runs = [(c * A, c * b, c * ref, check_ssc(_system(c * A, c * b)))
+                    for c in (1.0, 1e-6, 1e6)]
             # HiGHS's absolute tolerances do not fit rows of norm 1e-6, so
             # mixed-scale rows are only compared on moderate spreads
             f = 10.0 ** rng.uniform(-2.0, 2.0, size=len(b))
-            scaled.append((f[:, None] * A, f * b, highs(f[:, None] * A, f * b)))
-            runs = [(A, b, ref, rep.margin, rep.slater_point)]
-            for A2, b2, ref2 in scaled:
-                # the margin LP alone: the hull route's absolute tolerance
-                # does not fit systems scaled by 1e6
-                runs.append((A2, b2, ref2) + stability._ssc_margin_lp(A2, b2, _floor_seed(A2, b2)))
-            for A2, b2, ref2, margin, witness in runs:
+            A2, b2 = f[:, None] * A, f * b
+            runs.append((A2, b2, highs(A2, b2), check_ssc(_system(A2, b2))))
+            for A2, b2, ref2, rep in runs:
                 if ref2 == -np.inf:
-                    assert margin < -1e-9
-                    _assert_witness(A2, b2, margin, witness)
+                    assert rep.margin < -1e-9
+                    _assert_witness(A2, b2, rep.margin, rep.slater_point)
                 else:
-                    assert abs(margin - ref2) <= 1e-9 * (1.0 + np.abs(b2).max())
+                    assert abs(rep.margin - ref2) <= 1e-9 * (1.0 + np.abs(b2).max())
 
     def test_margin_is_invariant_and_scales(self, rng):
         for _ in range(20):
@@ -166,7 +182,7 @@ class TestSSCMarginLP:
                                           m=int(rng.integers(12, 40)))
             A, b = system.coefficient_matrix(), system.rhs_vector()
             rep = check_ssc(system)
-            assert np.isfinite(rep.zero_face_floor)
+            assert np.isfinite(zero_face_floor(A, b)[0])
             m = len(b)
             perm = rng.permutation(m)
             dup = rng.integers(0, m, size=5)
