@@ -288,7 +288,7 @@ def _add_common(sub, anchor=True):
     sub.add_argument("--out", default=None, help="CSV report path")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--tol", type=float, default=1e-9,
-                     help="relative to max|[A | b]| in the strong Slater check; "
+                     help="relative to each row's norm in the strong Slater check; "
                           "absolute for anchor feasibility and active rows")
 
 

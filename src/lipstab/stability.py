@@ -48,8 +48,8 @@ class SSCReport:
     """Verdict of both strong-Slater routes; they must agree.
 
     ``margin`` is min over x of max_t (<a_t, x> - b_t) from the LP route;
-    ``hull_gap`` is the distance from the origin to co({(a_t, b_t)} and
-    (0, s)), s = max|[A | b]|, from the hull route, which uses no LP.
+    ``hull_gap`` is the distance from the origin to the hull of the rows
+    (a_t, b_t) / ||(a_t, b_t)|| and (0, 1) from the hull route (no LP).
     """
 
     holds: bool
@@ -100,40 +100,46 @@ class EpsActiveResult:
 def check_ssc(system: LinearSystem, tol: float = FEAS_TOL) -> SSCReport:
     """Certify the strong Slater condition by two independent routes.
 
-    Both compare with tol times s = max|[A | b]|, so scaling a system scales
-    its margin and hull gap and keeps its verdict.  LP route: SSC holds iff
-    the margin is < -tol s (an unbounded margin LP qualifies).  The margin
-    LP is solved by row generation, seeded with the support of the weights
-    of its dual, the zero-face floor LP (n + 1 rows), or with the n + 1 rows
-    of smallest b_t when no weights exist; the margin is reported only once
-    its point (or Gordan ray) holds on all m rows, so the seed sets how many
-    rounds run, never the verdict.  Hull route: SSC fails iff co{(a_t, b_t)}
-    meets the ray {0} x (-inf, 0], that is iff the origin lies in
-    co({(a_t, b_t)} and (0, s)); SSC holds iff the NNLS kernel finds that
-    hull's min-norm point > tol s from the origin.  This route reads no LP.
-    Disagreement aborts with diagnostics.
+    Both decide on the rows (a_t, b_t) divided by their Euclidean norms
+    (zero rows stay zero): that keeps the condition and its Slater points,
+    so scaling any row, or the whole system, keeps the verdict.  LP
+    route: the margin LP min s s.t. <a_t, x> - s <= b_t runs by row
+    generation, seeded with the support of the weights of its dual, the
+    zero-face floor LP (n + 1 rows), or with the n + 1 rows of smallest b_t
+    when no weights exist; it reports the margin only once its point (or
+    Gordan ray) holds on all m rows.  SSC holds iff the normalized rows have
+    a margin < -tol: the LP's point shows it when its normalized residuals
+    are all < -tol, else the margin LP of the normalized rows decides and
+    gives the Slater point.  Hull route: SSC fails iff co{(a_t, b_t)} meets
+    the ray {0} x (-inf, 0], that is iff the origin lies in the hull of the
+    normalized rows and (0, 1); it holds iff the NNLS kernel, with no LP,
+    finds that hull's min-norm point > tol from the origin.  Disagreement
+    aborts with diagnostics.
     """
     validated(system)
     A = system.coefficient_matrix()
     b = system.rhs_vector()
     n = A.shape[1]
     hull = np.hstack([A, b[:, None]])
-    s = float(np.abs(hull).max())
+    # the first division keeps the norms from overflowing
+    hull /= np.abs(hull).max(axis=1, keepdims=True).clip(min=np.finfo(float).tiny)
+    hull /= np.linalg.norm(hull, axis=1, keepdims=True).clip(min=1.0)
+    A1, b1 = hull[:, :n], hull[:, n]
 
     _, lam = zero_face_floor(A, b)
-    if lam is None:
-        seed = np.argsort(b, kind="stable")[:n + 1]
-    else:
-        seed = np.flatnonzero(lam > 0)
+    seed = np.argsort(b, kind="stable")[:n + 1] if lam is None else np.flatnonzero(lam > 0)
     margin, witness = _ssc_margin_lp(A, b, seed)
-    lp_holds = margin < -tol * s
+    slack = float((A1 @ witness - b1).max())
+    if not slack < -tol:
+        slack, witness = _ssc_margin_lp(A1, b1, seed)
+    lp_holds = slack < -tol
 
-    hull_gap, _, _, _, _ = min_norm_point(np.vstack([hull, s * np.eye(1, n + 1, n)]))
-    hull_holds = hull_gap > tol * s
+    hull_gap, _, _, _, _ = min_norm_point(np.vstack([hull, np.eye(1, n + 1, n)]))
+    hull_holds = hull_gap > tol
 
     if lp_holds != hull_holds:
         raise InternalCheckError(
-            f"SSC verdicts disagree: LP margin {margin!r} vs hull gap {hull_gap!r}"
+            f"SSC verdicts disagree: normalized margin {slack!r} vs hull gap {hull_gap!r}"
         )
     return SSCReport(
         holds=lp_holds,
@@ -148,13 +154,11 @@ def check_ssc(system: LinearSystem, tol: float = FEAS_TOL) -> SSCReport:
 def _ssc_margin_lp(A, b, seed):
     """min s s.t. <a_t, x> - s <= b_t on all rows, by row generation.
 
-    The LP runs on A and b divided by k = 2^floor(log2 max|[A | b]|), which
-    is exact, so the simplex's absolute tolerances fit every uniformly
-    scaled system; the margin is multiplied back by k.  Each round solves
-    the LP on the working rows (starting from seed) and adds the n + 1 rows
-    that its optimal point, or its improving ray, violates most.  Returns
-    (margin, witness) with max(A witness - b) at most the margin up to
-    rounding.
+    It runs on A, b / k, k = 2^floor(log2 max|[A | b]|) (exact), so the
+    simplex's absolute tolerances fit every uniformly scaled system.  Each
+    round solves the LP on the working rows (starting from seed) and adds
+    the n + 1 rows that its optimal point, or its improving ray, violates
+    most.  Returns (margin, witness), max(A witness - b) <= margin + rounding.
     """
     m, n = A.shape
     k = math.ldexp(1.0, math.frexp(max(np.abs(A).max(), np.abs(b).max()))[1] - 1)
@@ -172,6 +176,8 @@ def _ssc_margin_lp(A, b, seed):
         if status.kind is StatusKind.OPTIMAL:
             violation = lifted @ z - b
             tol = 1e-12 * (1.0 + float(np.abs(b).max()))
+            if violation[rows].max() < -tol:
+                raise InternalCheckError("SSC LP point is tight on none of its rows")
             if violation.max() <= tol:
                 return k * float(z[n]), z[:n]
         elif status.kind is StatusKind.UNBOUNDED:

@@ -125,13 +125,49 @@ class TestSSCMarginLP:
             for c in (1e-6, 1e6):
                 rep_c = check_ssc(_system(c * A, c * b))
                 assert rep_c.holds == rep.holds
-                assert abs(rep_c.hull_gap - c * rep.hull_gap) <= 1e-9 * c * s
+                # the hull gap belongs to the rows divided by their sizes
+                assert rep_c.hull_gap == pytest.approx(rep.hull_gap, rel=1e-9, abs=1e-12)
                 if bounded:
                     assert abs(rep_c.margin - c * rep.margin) <= 1e-9 * c * s
                 else:
                     # the witness's step along the ray does not scale with c
                     assert rep_c.margin < 0
                     _assert_witness(c * A, c * b, rep_c.margin, rep_c.slater_point)
+
+    def test_verdict_and_hull_gap_do_not_depend_on_row_sizes(self, rng):
+        for A, b in _margin_cases(rng):
+            rep = check_ssc(_system(A, b))
+            # wider spreads reach the accuracy limits of the margin LP itself
+            f = 10.0 ** rng.uniform(-3.0, 3.0, size=len(b))
+            rep_f = check_ssc(_system(f[:, None] * A, f * b))
+            assert rep_f.holds == rep.holds
+            assert rep_f.hull_gap == pytest.approx(rep.hull_gap, rel=1e-9, abs=1e-12)
+            if rep.holds:
+                # each residual at the Slater point is below -tol times its row's norm
+                size = f * np.linalg.norm(np.column_stack([A, b]), axis=1)
+                res = f * (A @ rep_f.slater_point - b)
+                assert (res < -1e-9 * size).all()
+
+    def test_far_slack_row_with_a_large_rhs_keeps_the_verdict(self):
+        box = (("lo", [-1.0], 1.0), ("hi", [1.0], 1.0))
+        system = LinearSystem(1, box)
+        far = LinearSystem(1, box + (("far", [1.0], 1e10),))
+        for anchor in ([1.0], [0.0]):
+            lip, lip_far = lip_bound(system, anchor), lip_bound(far, anchor)
+            assert (lip_far.bound, lip_far.regime) == (lip.bound, lip.regime)
+        rep, rep_far = check_ssc(system), check_ssc(far)
+        assert rep_far.holds and rep.holds
+        assert rep_far.margin == pytest.approx(-1.0) and rep.margin == pytest.approx(-1.0)
+        assert rep_far.hull_gap == pytest.approx(rep.hull_gap, rel=1e-12)
+
+    def test_large_row_with_a_small_slack_holds(self):
+        # 1e10 x1 <= 1 leaves slack 1 at x1 = 0, only 1e-10 of the row's norm;
+        # points with x1 = 1 - sqrt(2) can leave each row sqrt(2) - 1 of its norm
+        system = LinearSystem(2, (("a", [1e10, 0.0], 1.0), ("b", [-1.0, 0.0], 1.0),
+                                  ("c", [1.0, 1.0], 0.0)))
+        rep = check_ssc(system)
+        assert rep.holds
+        assert max(system.residuals(rep.slater_point)) < 0.0
 
     def test_margin_does_not_depend_on_the_seed(self, rng):
         for A, b in _margin_cases(rng):
