@@ -2,21 +2,14 @@
 
 Samples (p, x) near (0, anchor), evaluates the quotient
 dist(x; F_J(p)) / dist(p; F_J^{-1}(x)) with the numerator computed as a
-primal projection (never by the ratio formula under test), and reports the
-per-radius maxima.  0/0 samples contribute 0 by convention.
+polyhedral projection (never by the ratio formula under test), and reports
+the per-radius maxima.  0/0 samples contribute 0 by convention.
 
 The samples of each radius are processed in chunks whose arrays stay near
-128 KB.  A sample whose x already lies in F_J(p) has numerator 0.  For
-the Euclidean norm, the other numerators come from one guess of the active
-set per sample: the rows active at the anchor, minus, round by round, the
-row of the most negative multiplier, solved for all samples sharing a
-working set at once.  A guess is used only after its KKT conditions
-(multipliers >= 0, working rows tight, every row feasible) pass a check.
-Every sample whose guess fails, and under l1/linf every sample outside
-F_J(p), gets the exact project_polyhedron; RadiusStats.fallbacks counts
-those.  Reports are
-bit-reproducible for a fixed seed: the RNG stream is split per sample index,
-and the chunk size depends only on the system's shape.
+128 KB; each chunk's numerators come from one batched project_polyhedron
+call in the system's norm, and an empty F_J(p) gives +inf.  Reports are
+bit-reproducible for a fixed seed: the RNG stream is split per sample
+index, and the chunk size depends only on the system's shape.
 """
 from __future__ import annotations
 
@@ -24,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleRegionError, OrderingViolationError
+from .errors import OrderingViolationError
 from .model import BlockPartition, LinearSystem, block_assignment, validated
 from .stability import check_ssc, lip_bound, _require_anchor
 from .solvers.projection import project_polyhedron
@@ -60,7 +53,6 @@ class RadiusStats:
     samples: int
     zero_over_zero: int
     argmax_index: int
-    fallbacks: int = 0  # samples projected by project_polyhedron, not by the batch
 
 
 @dataclass(frozen=True)
@@ -95,62 +87,6 @@ def _sphere_direction(rng, kind: str, dim: int) -> np.ndarray:
     return w * signs
 
 
-def _working_set_multipliers(Aw, X, rhs_w):
-    """mu with (A_W A_W^T) mu = A_W x - rhs_W for each row x of X.
-
-    Returns None when the Gram matrix A_W A_W^T is singular.
-    """
-    gram = Aw @ Aw.T
-    if np.linalg.matrix_rank(gram) < gram.shape[0]:
-        return None
-    return np.linalg.solve(gram, (X @ Aw.T - rhs_w).T).T
-
-
-def _guess_and_verify(A, X, RHS, W0):
-    """Euclidean projections of the rows of X onto {y : A y <= rhs} by guessing.
-
-    Each sample starts from the working set W0 and, for at most |W0|
-    rounds, drops the row of its most negative multiplier while that is
-    below -tol; samples that share a working set are solved together.
-    Returns (Z, ok): Z[s] is the projection of X[s] wherever ok[s], which
-    holds only when mu >= -tol, A_W z = rhs_W within tol and
-    A z <= rhs + 1e-9 (1 + |A||z|) on every row.
-    """
-    tol = 1e-11 * (1.0 + np.abs(X @ A.T - RHS).max(axis=1))
-    keep = np.ones((len(X), W0.size), dtype=bool)
-    Z = np.empty_like(X)
-    ok = np.zeros(len(X), dtype=bool)
-    live = np.arange(len(X))
-    for _ in range(W0.size):
-        masks, group = np.unique(keep[live], axis=0, return_inverse=True)
-        retry = []
-        for g, mask in enumerate(masks):
-            s = live[group.ravel() == g]
-            if not mask.any():
-                continue  # x itself violates a row: the guess failed
-            rows = W0[mask]
-            Aw = A[rows]
-            mu = _working_set_multipliers(Aw, X[s], RHS[np.ix_(s, rows)])
-            if mu is None:
-                continue
-            bad = mu.min(axis=1) < -tol[s]
-            # like the exact method, drop the most negative multiplier's row
-            keep[s[bad], np.flatnonzero(mask)[np.argmin(mu[bad], axis=1)]] = False
-            retry.append(s[bad])
-            done = s[~bad]
-            Z[done] = X[done] - mu[~bad] @ Aw
-            tight = np.abs(Z[done] @ Aw.T - RHS[np.ix_(done, rows)]) <= tol[done, None]
-            ok[done] = tight.all(axis=1)
-        live = np.concatenate(retry) if retry else live[:0]
-        if not live.size:
-            break
-    cand = np.flatnonzero(ok)
-    Zc = Z[cand]
-    slack = Zc @ A.T - RHS[cand]
-    ok[cand] = (slack <= 1e-9 * (1.0 + np.abs(Zc) @ np.abs(A).T)).all(axis=1)
-    return Z, ok
-
-
 def empirical_lip(system: LinearSystem, partition: BlockPartition, anchor,
                   cfg: SamplingConfig = SamplingConfig(), notes=()) -> EstimateReport:
     """Sampled sup of the distance quotient at each ladder radius.
@@ -161,8 +97,7 @@ def empirical_lip(system: LinearSystem, partition: BlockPartition, anchor,
     """
     validated(system, partition)
     anchor = _require_anchor(system, anchor, 1e-9)
-    ssc = check_ssc(system)
-    if not ssc.holds:
+    if not check_ssc(system).holds:
         stats = tuple(
             RadiusStats(r, np.inf, 0, 0, -1) for r in cfg.radii
         )
@@ -177,9 +112,6 @@ def empirical_lip(system: LinearSystem, partition: BlockPartition, anchor,
     # rows sorted by block, so each block's residual sup is one reduceat segment
     order = np.argsort(assign, kind="stable")
     starts = np.searchsorted(assign[order], np.arange(n_blocks))
-    W0 = np.flatnonzero(A @ anchor - b >= -1e-9)
-    witness = ssc.slater_point
-    witness_res = A @ witness - b
     # the chunk's (samples x rows) and (samples x blocks) arrays stay near
     # _CHUNK_BYTES; the size depends on the shape only, so reruns repeat
     chunk = max(1, _CHUNK_BYTES // (8 * (A.shape[0] + n_blocks)))
@@ -194,37 +126,18 @@ def empirical_lip(system: LinearSystem, partition: BlockPartition, anchor,
         dp = _sphere_direction(rng, "linf", n_blocks)
         return x, (radius * rng.uniform() ** (1.0 / n_blocks)) * dp
 
-    def numerators(X, P, AX):
-        """dist(x; F_J(p)) for each sample; returns (values, exact fallbacks)."""
-        RHS = b + P[:, assign]
-        num = np.zeros(len(X))
-        todo = np.flatnonzero((AX - RHS).max(axis=1) > 0.0)
-        if x_kind == "euclid" and todo.size:
-            Z, ok = _guess_and_verify(A, X[todo], RHS[todo], W0)
-            num[todo[ok]] = np.linalg.norm(X[todo[ok]] - Z[ok], axis=1)
-            todo = todo[~ok]
-        for s in todo:
-            start = witness if (witness_res - P[s, assign]).max() <= 0.0 else None
-            try:
-                num[s], _ = project_polyhedron(X[s], A, RHS[s], system.norm, start=start)
-            except InfeasibleRegionError:
-                num[s] = np.inf  # dist(x; empty set) = +inf by convention
-        return num, todo.size
-
     stats = []
     for r_idx, radius in enumerate(cfg.radii):
         quotients = np.empty(cfg.samples_per_radius)
-        zoz = fallbacks = 0
+        zoz = 0
         for lo in range(0, cfg.samples_per_radius, chunk):
             drawn = [draw(r_idx, radius, i)
                      for i in range(lo, min(lo + chunk, cfg.samples_per_radius))]
             X = np.array([x for x, _ in drawn])
             P = np.array([p for _, p in drawn])
-            AX = X @ A.T
-            sup = np.maximum.reduceat((AX - b)[:, order], starts, axis=1)
+            sup = np.maximum.reduceat((X @ A.T - b)[:, order], starts, axis=1)
             den = np.maximum((sup - P).max(axis=1), 0.0)
-            num, fell = numerators(X, P, AX)
-            fallbacks += fell
+            num, _ = project_polyhedron(X, A, b + P[:, assign], system.norm)
             flat = den <= _TINY
             q = num / np.where(flat, 1.0, den)
             q[flat] = np.where(num[flat] <= 1e-9, 0.0, np.inf)
@@ -232,7 +145,7 @@ def empirical_lip(system: LinearSystem, partition: BlockPartition, anchor,
             quotients[lo:lo + len(q)] = q
         best = int(np.argmax(quotients)) if len(quotients) else -1
         stats.append(RadiusStats(radius, float(quotients.max(initial=0.0)),
-                                 len(quotients), zoz, best, fallbacks))
+                                 len(quotients), zoz, best))
     estimate = stats[-1].max_quotient
     return EstimateReport(tuple(stats), estimate, tuple(notes))
 

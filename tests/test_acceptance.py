@@ -131,7 +131,7 @@ def test_criterion_3_distance_formula_vs_projection():
             from lipstab.model import perturbed_system
             pert = perturbed_system(system, partition, p)
             d_proj, _ = project_polyhedron(
-                x, pert.coefficient_matrix(), pert.rhs_vector(), start=xhat)
+                x, pert.coefficient_matrix(), pert.rhs_vector())
             err = abs(d_formula - d_proj) / max(1.0, d_proj)
             worst = max(worst, err)
     elapsed = time.monotonic() - t0

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from conftest import (
     box_system,
@@ -20,8 +21,10 @@ from lipstab.estimator import (
 )
 from lipstab.model import BlockPartition, LinearSystem, block_assignment, block_residual_sup
 from lipstab.norms import NormSpec
+from lipstab.solvers import projection
 from lipstab.solvers.projection import project_polyhedron
-from lipstab.stability import check_ssc, lip_bound
+from lipstab.solvers.simplex import StatusKind, lp_solve
+from lipstab.stability import lip_bound
 
 
 def test_config_validation():
@@ -120,11 +123,10 @@ def test_partition_compare_ssc_failure(rng):
     assert np.isinf(rep.lip) and rep.ordered
 
 
-# --- chunked guess-and-verify numerators against the exact projection ---
+# --- batched numerators against single-point projections and SLSQP ---
 
 def _reference_report(system, partition, anchor, cfg):
     """The per-sample loop: same RNG streams, every numerator from project_polyhedron."""
-    ssc = check_ssc(system)
     A, b = system.coefficient_matrix(), system.rhs_vector()
     assign = block_assignment(system, partition)
     n, k = system.dimension, len(partition.blocks)
@@ -142,11 +144,8 @@ def _reference_report(system, partition, anchor, cfg):
             p = (radius * rng.uniform() ** (1.0 / k)) * dp
             res = A @ x - b
             den = max(float((block_residual_sup(res, assign, k) - p).max()), 0.0)
-            start = ssc.slater_point
-            if (A @ start - b - p[assign]).max() > 0.0:
-                start = None
             try:
-                num, _ = project_polyhedron(x, A, b + p[assign], system.norm, start=start)
+                num, _ = project_polyhedron(x, A, b + p[assign], system.norm)
             except InfeasibleRegionError:
                 q[i] = np.inf
                 continue
@@ -169,15 +168,15 @@ def _assert_matches_reference(rep, ref):
 
 
 def _spy_batches(monkeypatch):
-    """Records (X, RHS, Z, ok) of every batched guess-and-verify call."""
+    """Records (X, A, RHS, norm, D) of every projection the estimator asks for."""
     calls = []
-    real = estimator._guess_and_verify
+    real = estimator.project_polyhedron
 
-    def spy(A, X, RHS, W0):
-        Z, ok = real(A, X, RHS, W0)
-        calls.append((A, X, RHS, Z, ok))
-        return Z, ok
-    monkeypatch.setattr(estimator, "_guess_and_verify", spy)
+    def spy(X, A, RHS, norm):
+        D, Y = real(X, A, RHS, norm)
+        calls.append((X, A, RHS, norm, D))
+        return D, Y
+    monkeypatch.setattr(estimator, "project_polyhedron", spy)
     return calls
 
 
@@ -213,66 +212,80 @@ def _cases(rng):
     for kind in ("l1", "linf"):
         system = demo_truncation(6, NormSpec(kind))
         cases.append((kind, system, BlockPartition.maximum(system.labels), [0.0, 0.0], {}))
+    # rows (a_t, b_t) scaled by 10^U(-3, 3): the same regions, badly scaled
+    system, xbar = random_boundary_instance(rng, n=3, m=12)
+    scaled = LinearSystem(3, tuple((label, a * f, rhs * f) for (label, a, rhs), f
+                                   in zip(system.rows, 10.0 ** rng.uniform(-3, 3, 12))))
+    cases.append(("scaled", scaled, BlockPartition.maximum(scaled.labels), xbar, {}))
     return cases
 
 
-def test_batched_numerators_match_exact_projection(rng, monkeypatch):
+def test_batched_numerators_match_single_point_calls(rng, monkeypatch):
     calls = _spy_batches(monkeypatch)
-    verified = 0
+    compared = 0
     for name, system, part, anchor, extra in _cases(rng):
         cfg = SamplingConfig(radii=(1e-1, 1e-3), samples_per_radius=150, seed=7, **extra)
         calls.clear()
         rep = empirical_lip(system, part, anchor, cfg)
         _assert_matches_reference(rep, _reference_report(system, part, anchor, cfg))
-        if system.norm.kind != "euclid":
-            assert not calls  # the batch is skipped for l1/linf
-        for A, X, RHS, Z, ok in calls:
-            if name in ("duplicated", "rank-deficient"):
-                assert not ok.any()  # singular Gram matrix: every sample falls back
-            for s in np.flatnonzero(ok):
-                d, _ = project_polyhedron(X[s], A, RHS[s])
+        # one batched call per chunk, for every norm
+        rows = len(system.rows) + len(part.blocks)
+        chunk = max(1, estimator._CHUNK_BYTES // (8 * rows))
+        assert len(calls) == 2 * -(-150 // chunk)
+        for X, A, RHS, norm, D in calls:
+            assert norm == system.norm and X.shape == (len(D), system.dimension)
+            for s in range(len(X)):
+                try:
+                    d, _ = project_polyhedron(X[s], A, RHS[s], norm)
+                except InfeasibleRegionError:
+                    d = np.inf
                 # relative 1e-12, down to the rounding of x itself for tiny distances
                 floor = 1e-15 * (1.0 + np.abs(X[s]).max())
-                assert np.linalg.norm(X[s] - Z[s]) == pytest.approx(d, rel=1e-12, abs=floor)
-                verified += 1
-    assert verified > 500
+                assert D[s] == pytest.approx(d, rel=1e-12, abs=floor)
+                compared += d > 0.0
+    assert compared > 500
 
 
-def test_perturbed_multipliers_are_rejected(rng, monkeypatch):
-    system, xbar = random_boundary_instance(rng, n=4, m=12)
-    part = random_partition(rng, system.labels, 3)
-    cfg = SamplingConfig(radii=(1e-1, 1e-2), samples_per_radius=300, seed=5)
-    clean = empirical_lip(system, part, xbar, cfg)
-    real = estimator._working_set_multipliers
-
-    def perturbed(Aw, X, rhs_w):
-        mu = real(Aw, X, rhs_w)
-        return None if mu is None else mu + 1e-6
-    monkeypatch.setattr(estimator, "_working_set_multipliers", perturbed)
+def test_numerators_match_slsqp(rng, monkeypatch):
     calls = _spy_batches(monkeypatch)
-    rep = empirical_lip(system, part, xbar, cfg)
-    # no guess passes the checks: every sample given to the batch falls back
-    assert calls and not any(ok.any() for *_, ok in calls)
-    assert sum(s.fallbacks for s in rep.per_radius) == sum(len(ok) for *_, ok in calls)
-    for a, b in zip(clean.per_radius, rep.per_radius):
-        assert b.fallbacks > a.fallbacks
-        assert b.max_quotient == pytest.approx(a.max_quotient, rel=1e-12)
-        assert b.zero_over_zero == a.zero_over_zero
+    checked = empty = 0
+    for name, system, part, anchor, extra in _cases(rng):
+        if name not in ("duplicated", "rank-deficient", "paper-40", "scaled"):
+            continue
+        cfg = SamplingConfig(radii=(1e-1,), samples_per_radius=60, seed=11)
+        calls.clear()
+        empirical_lip(system, part, anchor, cfg)
+        for X, A, RHS, _, D in calls:
+            # the oracle sees each row divided by its norm: the same region
+            norms = np.linalg.norm(A, axis=1)
+            An = A / norms[:, None]
+            for s in np.flatnonzero(np.isinf(D)):
+                assert lp_solve(np.zeros(A.shape[1]), A, RHS[s])[0].kind is StatusKind.INFEASIBLE
+                empty += 1
+            for s in np.flatnonzero(np.isfinite(D) & (D > 0.0)):
+                x, bn = X[s], RHS[s] / norms
+                ref = minimize(
+                    lambda z: ((z - x) ** 2).sum(), x, jac=lambda z: 2 * (z - x),
+                    constraints=[{"type": "ineq", "fun": lambda z: bn - An @ z,
+                                  "jac": lambda z: -An}],
+                    method="SLSQP", options={"maxiter": 500, "ftol": 1e-16})
+                assert (An @ ref.x - bn).max() <= 1e-9, name
+                oracle = float(np.sqrt(max(ref.fun, 0.0)))
+                assert D[s] == pytest.approx(oracle, rel=1e-6, abs=1e-7), name
+                checked += 1
+    assert checked > 100 and empty > 10
 
 
-def test_fallback_counts():
-    # one active row: the anchor's active set is always the right guess
-    system = LinearSystem(2, (("t", [3.0, 4.0], 5.0), ("u", [-1.0, 0.0], 4.0)))
-    part = BlockPartition.maximum(system.labels)
-    cfg = SamplingConfig(radii=(1e-1, 1e-2), samples_per_radius=300, seed=4)
-    rep = empirical_lip(system, part, [0.6, 0.8], cfg)
-    assert [s.fallbacks for s in rep.per_radius] == [0, 0]
-    # rows t x1 <= 1 turn active away from the anchor, so guesses fail
-    system = demo_truncation(40)
-    part = BlockPartition.maximum(system.labels)
-    cfg = SamplingConfig(radii=(1e-1,), samples_per_radius=200, seed=3)
-    rep = empirical_lip(system, part, [0.0, 0.0], cfg)
-    assert rep.per_radius[0].fallbacks == 117
+def test_euclidean_estimate_solves_no_projection_lp(rng, monkeypatch):
+    cases = [c for c in _cases(rng) if c[1].norm.kind == "euclid"]
+    cfg = SamplingConfig(radii=(1e-1, 1e-2), samples_per_radius=200, seed=5)
+    reports = [empirical_lip(system, part, anchor, cfg) for _, system, part, anchor, _ in cases]
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the Euclidean projection solved an LP")
+    monkeypatch.setattr(projection, "lp_solve", no_lp)
+    for (_, system, part, anchor, _), rep in zip(cases, reports):
+        assert empirical_lip(system, part, anchor, cfg) == rep
 
 
 def test_chunked_memory_stays_small():

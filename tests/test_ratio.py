@@ -99,7 +99,7 @@ def test_matches_projection_on_random_ssc_instances(rng):
         b = system.rhs_vector()
         x = xhat + rng.normal(size=system.dimension) * rng.uniform(0.5, 3.0)
         val = max_ratio_over_hull(gens(A, b), x)
-        dist, _ = project_polyhedron(x, A, b, start=xhat)
+        dist, _ = project_polyhedron(x, A, b)
         assert val == pytest.approx(dist, rel=1e-7, abs=1e-9)
 
 
@@ -170,5 +170,5 @@ def test_polyhedral_norms_match_lp_projection(rng, kind):
         b = system.rhs_vector()
         x = xhat + rng.normal(size=3) * 2.0
         val = max_ratio_over_hull(gens(A, b), x, norm)
-        dist, _ = project_polyhedron(x, A, b, norm, start=xhat)
+        dist, _ = project_polyhedron(x, A, b, norm)
         assert val == pytest.approx(dist, rel=1e-7, abs=1e-9)
