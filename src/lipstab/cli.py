@@ -9,6 +9,7 @@ Document-producing commands (demo, linearize) print clean JSON for piping.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -292,7 +293,13 @@ def _add_common(sub, anchor=True):
                           "absolute for anchor feasibility and active rows")
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built on first use and shared by every run_cli call.
+
+    parse_args leaves a parser unchanged, so reusing it keeps each call's
+    result and errors as they were; importing the module builds nothing.
+    """
     parser = argparse.ArgumentParser(
         prog="lipstab",
         description="Exact Lipschitzian stability bounds for block-perturbed "
@@ -363,8 +370,7 @@ def run_cli(argv) -> int:
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1] in ("--anchor", "--p") and re.match(r"-\.?\d", argv[i]):
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _VALIDATION_ERRORS as exc:

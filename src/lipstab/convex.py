@@ -19,6 +19,7 @@ from .norms import NormSpec, norm_value
 from .solvers.projection import project_polyhedron
 from .solvers.simplex import lp_solve_nonneg
 from .stability import REGIME_SSC_FAILS, LipReport, lip_bound
+from .streams import streams
 
 FY_TOL = 1e-9
 
@@ -223,14 +224,15 @@ def _cut_points(anchor, cfg: CutConfig, block_idx: int, dimension: int, budget: 
         centers = [np.asarray(anchor, dtype=float)]
     i = 0
     while len(pts) < budget + 1:
-        radius = cfg.radii[i % len(cfg.radii)]
-        center = centers[i % len(centers)]
-        rng = np.random.default_rng((cfg.seed, round_idx, block_idx, i))
-        direction = rng.normal(size=dimension)
-        nrm = np.linalg.norm(direction)
-        if nrm > 1e-12:
-            pts.append(center + radius * direction / nrm)
-        i += 1
+        # point i draws from the stream default_rng((seed, round, block, i))
+        for rng in streams((cfg.seed, round_idx, block_idx), range(i, i + budget + 1 - len(pts))):
+            radius = cfg.radii[i % len(cfg.radii)]
+            center = centers[i % len(centers)]
+            direction = rng.normal(size=dimension)
+            nrm = np.linalg.norm(direction)
+            if nrm > 1e-12:
+                pts.append(center + radius * direction / nrm)
+            i += 1
     return pts
 
 

@@ -8,8 +8,13 @@ the per-radius maxima.  0/0 samples contribute 0 by convention.
 The samples of each radius are processed in chunks whose arrays stay near
 128 KB; each chunk's numerators come from one batched project_polyhedron
 call in the system's norm, and an empty F_J(p) gives +inf.  Reports are
-bit-reproducible for a fixed seed: the RNG stream is split per sample
-index, and the chunk size depends only on the system's shape.
+bit-reproducible for a fixed seed: sample i at radius index r draws from its
+own stream, the one np.random.default_rng((seed, r, i)) gives, and the
+chunk size depends only on the system's shape.  The streams' states are
+computed for many samples at once (lipstab.streams) and set in turn on one
+reused generator, which makes each sample's non-uniform draws (normal,
+dirichlet, integers) and reads its uniforms as raw words; the chunk's x and
+p are then built with array operations.
 """
 from __future__ import annotations
 
@@ -21,6 +26,7 @@ from .errors import OrderingViolationError
 from .model import BlockPartition, LinearSystem, block_assignment, validated
 from .stability import check_ssc, lip_bound, _require_anchor
 from .solvers.projection import project_polyhedron
+from .streams import streams
 
 _TINY = 1e-12
 _CHUNK_BYTES = 128 * 1024
@@ -70,21 +76,21 @@ class PartitionCompareReport:
     converged: bool
 
 
-def _sphere_direction(rng, kind: str, dim: int) -> np.ndarray:
-    if kind == "euclid":
-        g = rng.normal(size=dim)
-        n = np.linalg.norm(g)
-        return g / n if n > 1e-12 else np.eye(dim)[0]
-    if kind == "linf":
-        # face-uniform: pin one coordinate to +-1, rest uniform in the face
-        v = rng.uniform(-1.0, 1.0, size=dim)
-        k = int(rng.integers(dim))
-        v[k] = 1.0 if rng.uniform() < 0.5 else -1.0
-        return v
-    # l1: Dirichlet weights per orthant face (face-uniform)
-    w = rng.dirichlet(np.ones(dim))
-    signs = np.where(rng.uniform(size=dim) < 0.5, -1.0, 1.0)
-    return w * signs
+def _face_points(U, pinned, sign_u) -> np.ndarray:
+    """Points of the sup-norm sphere, face-uniform: entries uniform(-1, 1),
+    the pinned one set to +1 where its sign uniform is below 0.5, else -1."""
+    V = -1.0 + 2.0 * U
+    V[np.arange(len(V)), pinned] = np.where(sign_u < 0.5, 1.0, -1.0)
+    return V
+
+
+def _radial_factors(radius: float, U, dim: int) -> np.ndarray:
+    """radius * u^(1/dim) per sample, as a column: uniform in the ball's volume.
+
+    Python's float power, one sample at a time: np.power rounds some values
+    differently, and the draws must stay those of the per-sample streams.
+    """
+    return np.array([radius * u ** (1.0 / dim) for u in U.tolist()])[:, None]
 
 
 def empirical_lip(system: LinearSystem, partition: BlockPartition, anchor,
@@ -116,25 +122,59 @@ def empirical_lip(system: LinearSystem, partition: BlockPartition, anchor,
     # _CHUNK_BYTES; the size depends on the shape only, so reruns repeat
     chunk = max(1, _CHUNK_BYTES // (8 * (A.shape[0] + n_blocks)))
 
-    def draw(r_idx, radius, i):
-        rng = np.random.default_rng((cfg.seed, r_idx, i))
-        if cfg.perturb_anchor:
-            dx = _sphere_direction(rng, x_kind, n)
-            x = anchor + (radius * rng.uniform() ** (1.0 / n)) * dx
+    # Each sample's stream, in order: the x direction (perturb_anchor only:
+    # normal for euclid; dirichlet, then n sign uniforms for l1; n face
+    # uniforms, the pinned index and its sign uniform for linf), x's radius
+    # uniform, p's face uniforms, p's pinned index, sign and radius uniforms.
+    # Every uniform is one raw 64-bit word, read in its place; normal,
+    # dirichlet and integers are drawn by the generator.  nx counts the x
+    # part's words.
+    nx = {"euclid": 1, "l1": n + 1, "linf": n + 2}[x_kind] if cfg.perturb_anchor else 0
+    ones = np.ones(n)
+
+    def draw(draws, k, radius):
+        words, G, pinned_x, pinned_p = [], [], [], []
+        for _, rng in zip(range(k), draws):
+            raw = rng.bit_generator.random_raw
+            head = 0
+            if nx:
+                if x_kind == "euclid":
+                    G.append(rng.normal(size=n))
+                elif x_kind == "l1":
+                    G.append(rng.dirichlet(ones))
+                else:
+                    words.append(raw(n))
+                    pinned_x.append(rng.integers(n))
+                    head = n
+            words.append(raw(nx + n_blocks - head))
+            pinned_p.append(rng.integers(n_blocks))
+            words.append(raw(2))
+        words = np.concatenate(words).reshape(k, nx + n_blocks + 2)
+        U = (words >> np.uint64(11)) * 2.0 ** -53  # numpy's uniform(0, 1) of each word
+        P = _radial_factors(radius, U[:, -1], n_blocks) * _face_points(
+            U[:, nx:nx + n_blocks], pinned_p, U[:, nx + n_blocks])
+        if not nx:
+            return np.repeat(anchor[None, :], k, axis=0), P
+        if x_kind == "euclid":
+            # row-wise dot products: np.linalg.norm's own sum on every row
+            G = np.array(G)
+            nrm = np.sqrt((G[:, None, :] @ G[:, :, None])[:, 0, 0])
+            big = nrm > 1e-12
+            dx = G / np.where(big, nrm, 1.0)[:, None]
+            dx[~big] = np.eye(n)[0]
+        elif x_kind == "l1":
+            dx = np.array(G) * np.where(U[:, :n] < 0.5, -1.0, 1.0)
         else:
-            x = anchor
-        dp = _sphere_direction(rng, "linf", n_blocks)
-        return x, (radius * rng.uniform() ** (1.0 / n_blocks)) * dp
+            dx = _face_points(U[:, :n], pinned_x, U[:, n])
+        return anchor + _radial_factors(radius, U[:, nx - 1], n) * dx, P
 
     stats = []
     for r_idx, radius in enumerate(cfg.radii):
         quotients = np.empty(cfg.samples_per_radius)
         zoz = 0
+        draws = streams((cfg.seed, r_idx), range(cfg.samples_per_radius))
         for lo in range(0, cfg.samples_per_radius, chunk):
-            drawn = [draw(r_idx, radius, i)
-                     for i in range(lo, min(lo + chunk, cfg.samples_per_radius))]
-            X = np.array([x for x, _ in drawn])
-            P = np.array([p for _, p in drawn])
+            X, P = draw(draws, min(chunk, cfg.samples_per_radius - lo), radius)
             sup = np.maximum.reduceat((X @ A.T - b)[:, order], starts, axis=1)
             den = np.maximum((sup - P).max(axis=1), 0.0)
             num, _ = project_polyhedron(X, A, b + P[:, assign], system.norm)

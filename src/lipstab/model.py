@@ -70,9 +70,6 @@ class LinearSystem:
         """<a_t, x> - b_t for every row, in row order."""
         return self.coefficient_matrix() @ np.asarray(x, dtype=float) - self._rhs
 
-    def is_feasible(self, x, tol: float = FEAS_TOL) -> bool:
-        return bool(self.residuals(x).max(initial=-np.inf) <= tol)
-
     def subsystem(self, labels) -> "LinearSystem":
         keep = set(labels)
         return LinearSystem(
@@ -121,10 +118,6 @@ class Perturbation:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-
-    @property
-    def sup_norm(self) -> float:
-        return max((abs(v) for v in self.values), default=0.0)
 
     @staticmethod
     def zero(partition: BlockPartition) -> "Perturbation":

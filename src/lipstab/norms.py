@@ -31,9 +31,6 @@ class NormSpec:
     def value(self, x) -> float:
         return norm_value(self.kind, x)
 
-    def dual_value(self, x) -> float:
-        return norm_value(_DUAL[self.kind], x)
-
 
 def norm_value(kind: str, x) -> float:
     x = np.asarray(x, dtype=float)

@@ -155,6 +155,17 @@ class TestExitCodes:
         code, _ = run(["lip", "--system", demo3], capsys=capsys)
         assert code == 2
 
+    def test_one_parser_serves_every_call(self, demo3, capsys):
+        from lipstab.cli import build_parser
+        assert build_parser() is build_parser()
+        for _ in range(2):  # an argparse error leaves the shared parser as it was
+            with pytest.raises(SystemExit) as exc:
+                run_cli(["lip", "--system", demo3, "--bogus"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+            code, out = run(["lip", "--system", demo3, "--anchor", "-0.3,0.3"], capsys=capsys)
+            assert code == 0 and last_line(out).startswith("lip=")
+
     def test_non_convergence_is_exit_three(self, demo3, capsys, monkeypatch):
         from lipstab import cli as cli_mod
         from lipstab.errors import OrderingViolationError

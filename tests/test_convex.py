@@ -7,6 +7,7 @@ from lipstab.convex import (
     MaxAffineFn,
     QuadraticFn,
     ScaledNormFn,
+    _cut_points,
     conjugate_value,
     distance_convex,
     eval_sub,
@@ -116,6 +117,19 @@ class TestLinearize:
                 for _ in range(50):
                     y = rng.normal() * 3
                     assert u[0] * y - fstar <= f.value([y]) + 1e-9
+
+    def test_cut_points_are_the_per_point_streams(self):
+        # point i of block j in round r is drawn by default_rng((seed, r, j, i))
+        cfg = CutConfig(seed=2**32 + 1)
+        anchor = np.array([0.3, -0.2, 0.1])
+        centers = [anchor, anchor + 1.0]
+        for round_idx, block_idx in ((0, 0), (2, 1)):
+            ref = [anchor]
+            for i in range(40):
+                d = np.random.default_rng((cfg.seed, round_idx, block_idx, i)).normal(size=3)
+                ref.append(centers[i % 2] + cfg.radii[i % len(cfg.radii)] * d / np.linalg.norm(d))
+            pts = _cut_points(anchor, cfg, block_idx, 3, 40, round_idx, centers)
+            assert np.array_equal(pts, ref)
 
     def test_anchor_cut_always_tight(self, rng):
         anchor = [0.7]

@@ -13,12 +13,7 @@ from conftest import (
 )
 from lipstab import estimator
 from lipstab.errors import InfeasibleRegionError
-from lipstab.estimator import (
-    SamplingConfig,
-    _sphere_direction,
-    empirical_lip,
-    partition_compare,
-)
+from lipstab.estimator import SamplingConfig, empirical_lip, partition_compare
 from lipstab.model import BlockPartition, LinearSystem, block_assignment, block_residual_sup
 from lipstab.norms import NormSpec
 from lipstab.solvers import projection
@@ -125,23 +120,48 @@ def test_partition_compare_ssc_failure(rng):
 
 # --- batched numerators against single-point projections and SLSQP ---
 
+def _sphere_direction(rng, kind: str, dim: int) -> np.ndarray:
+    """One sample's direction, drawn call by call from its own generator."""
+    if kind == "euclid":
+        g = rng.normal(size=dim)
+        n = np.linalg.norm(g)
+        return g / n if n > 1e-12 else np.eye(dim)[0]
+    if kind == "linf":
+        # face-uniform: pin one coordinate to +-1, rest uniform in the face
+        v = rng.uniform(-1.0, 1.0, size=dim)
+        k = int(rng.integers(dim))
+        v[k] = 1.0 if rng.uniform() < 0.5 else -1.0
+        return v
+    # l1: Dirichlet weights per orthant face (face-uniform)
+    w = rng.dirichlet(np.ones(dim))
+    signs = np.where(rng.uniform(size=dim) < 0.5, -1.0, 1.0)
+    return w * signs
+
+
+def _reference_samples(system, partition, anchor, cfg, r_idx, radius):
+    """(x, p) of each sample, from np.random.default_rng((seed, r_idx, i))."""
+    n, k = system.dimension, len(partition.blocks)
+    for i in range(cfg.samples_per_radius):
+        rng = np.random.default_rng((cfg.seed, r_idx, i))
+        x = np.asarray(anchor, dtype=float)
+        if cfg.perturb_anchor:
+            dx = _sphere_direction(rng, system.norm.kind, n)
+            x = x + (radius * rng.uniform() ** (1.0 / n)) * dx
+        dp = _sphere_direction(rng, "linf", k)
+        yield x, (radius * rng.uniform() ** (1.0 / k)) * dp
+
+
 def _reference_report(system, partition, anchor, cfg):
     """The per-sample loop: same RNG streams, every numerator from project_polyhedron."""
     A, b = system.coefficient_matrix(), system.rhs_vector()
     assign = block_assignment(system, partition)
-    n, k = system.dimension, len(partition.blocks)
+    k = len(partition.blocks)
     stats = []
     for r_idx, radius in enumerate(cfg.radii):
         q = np.empty(cfg.samples_per_radius)
         zoz = 0
-        for i in range(cfg.samples_per_radius):
-            rng = np.random.default_rng((cfg.seed, r_idx, i))
-            x = np.asarray(anchor, dtype=float)
-            if cfg.perturb_anchor:
-                dx = _sphere_direction(rng, system.norm.kind, n)
-                x = x + (radius * rng.uniform() ** (1.0 / n)) * dx
-            dp = _sphere_direction(rng, "linf", k)
-            p = (radius * rng.uniform() ** (1.0 / k)) * dp
+        samples = _reference_samples(system, partition, anchor, cfg, r_idx, radius)
+        for i, (x, p) in enumerate(samples):
             res = A @ x - b
             den = max(float((block_residual_sup(res, assign, k) - p).max()), 0.0)
             try:
@@ -218,6 +238,32 @@ def _cases(rng):
                                    in zip(system.rows, 10.0 ** rng.uniform(-3, 3, 12))))
     cases.append(("scaled", scaled, BlockPartition.maximum(scaled.labels), xbar, {}))
     return cases
+
+
+def test_samples_are_the_per_sample_streams(rng, monkeypatch):
+    # every x and right-hand side the estimator projects is, bit for bit, the
+    # draw of that sample's own np.random.default_rng((seed, r, i))
+    calls = _spy_batches(monkeypatch)
+    base, xbar = random_boundary_instance(rng, n=3, m=10)
+    cases = []
+    for kind in ("euclid", "l1", "linf"):
+        system = LinearSystem(3, base.rows, NormSpec(kind))
+        for part in (BlockPartition.minimum(system.labels), BlockPartition.maximum(system.labels)):
+            cases.append((system, part, xbar, {}))
+    cases.append((base, random_partition(rng, base.labels, 3), xbar, {"perturb_anchor": False}))
+    # 201 rows in singleton blocks: chunks of 40, so each radius spans three
+    paper = demo_truncation(200)
+    cases.append((paper, BlockPartition.maximum(paper.labels), [0.0, 0.0], {}))
+    for system, part, anchor, extra in cases:
+        cfg = SamplingConfig(radii=(1e-1, 1e-3), samples_per_radius=100, seed=2**32 + 3, **extra)
+        calls.clear()
+        empirical_lip(system, part, anchor, cfg)
+        b, assign = system.rhs_vector(), block_assignment(system, part)
+        ref = [(x, b + p[assign]) for r_idx, radius in enumerate(cfg.radii)
+               for x, p in _reference_samples(system, part, anchor, cfg, r_idx, radius)]
+        assert np.array_equal(np.concatenate([c[0] for c in calls]), [x for x, _ in ref])
+        assert np.array_equal(np.concatenate([c[2] for c in calls]), [rhs for _, rhs in ref])
+    assert len(calls) == 6  # the last case: three chunks at each of two radii
 
 
 def test_batched_numerators_match_single_point_calls(rng, monkeypatch):

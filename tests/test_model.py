@@ -4,6 +4,7 @@ import pytest
 from conftest import demo_truncation, random_partition, random_ssc_system
 from lipstab.errors import ValidationError
 from lipstab.model import (
+    FEAS_TOL,
     BlockPartition,
     CharacteristicSet,
     LinearSystem,
@@ -150,7 +151,7 @@ class TestResidualInverseDistance:
             x = xhat + rng.normal(size=3)
             d = residual_inverse_distance(system, part, p, x)
             assert d >= 0.0
-            feasible = perturbed_system(system, part, p).is_feasible(x)
+            feasible = perturbed_system(system, part, p).residuals(x).max() <= FEAS_TOL
             assert (d <= 1e-12) == feasible
 
     def test_one_lipschitz_in_p(self, rng):
@@ -212,9 +213,3 @@ class TestCharacteristicGenerators:
         assert np.array_equal(g_fine.offsets, g_coarse.offsets)
         assert len(Perturbation.zero(fine).values) == 6
         assert len(Perturbation.zero(coarse).values) == 1
-
-
-def test_perturbation_sup_norm():
-    assert Perturbation((0.5, -2.0, 1.0)).sup_norm == 2.0
-    part = BlockPartition((("j", ("t",)),))
-    assert Perturbation.zero(part).sup_norm == 0.0
