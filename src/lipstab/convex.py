@@ -18,7 +18,7 @@ from .model import BlockPartition, LinearSystem
 from .norms import NormSpec, norm_value
 from .solvers.projection import project_polyhedron
 from .solvers.simplex import lp_solve_nonneg
-from .stability import REGIME_SSC_FAILS, LipReport, lip_bound
+from .stability import REGIME_SSC_FAILS, LipReport, _anchor_vector, lip_bound
 from .streams import streams
 
 FY_TOL = 1e-9
@@ -247,7 +247,7 @@ def linearize(fs, cfg: CutConfig, anchor, norm: NormSpec = NormSpec(),
     are per function, so right-hand-side perturbations of the convex system
     are block perturbations of the linearization.
     """
-    anchor = np.asarray(anchor, dtype=float)
+    anchor = _anchor_vector(anchor, fs[0].dimension)
     if block_labels is None:
         block_labels = [str(j) for j in range(len(fs))]
     rows = []
@@ -309,7 +309,7 @@ def lip_bound_convex(fs, anchor, cfg: CutConfig = CutConfig(),
     minimizer and stops once two successive bounds agree to cfg.rel_tol
     relative; stalling at the budget is flagged, not hidden.
     """
-    anchor = np.asarray(anchor, dtype=float)
+    anchor = _anchor_vector(anchor, fs[0].dimension)
     for j, f in enumerate(fs):
         v = f.value(anchor)
         if v > tol:
@@ -362,7 +362,7 @@ def distance_convex(fs, p, x, cfg: CutConfig = CutConfig(),
     The linearized region contains the true one, so emptiness of the
     linearization certifies emptiness of the convex region.
     """
-    x = np.asarray(x, dtype=float)
+    x = _anchor_vector(x, fs[0].dimension)
     p = np.asarray(p, dtype=float)
     if p.shape != (len(fs),):
         raise ValueError("p must carry one value per convex inequality")

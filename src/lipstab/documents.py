@@ -4,11 +4,18 @@ A document is either a linear system ("rows", optional "partition") or a
 convex one ("convex" blocks); the schema is strict: unknown fields are
 rejected so silent drift cannot poison stability comparisons, and the
 version tag "lipstab-v1" is required.  Serialization round-trips exactly.
+
+Rows and partition blocks are checked whole-column: a few passes over all
+rows test every type at once and build the columns.  The per-entry checker
+runs only when one of those tests fails, and only to word the error: it
+walks the entries in document order and raises for the first bad one.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -23,6 +30,10 @@ TRUNCATION_NOTE = "truncation: bound may underestimate the infinite system's mod
 
 _TOP_KEYS = ("version", "dimension", "norm", "rows", "partition", "convex",
              "truncation_note")
+_ROW_KEYS = ("label", "a", "b")
+_BLOCK_KEYS = ("block", "labels")
+# json.loads gives exact types, so a type test also rejects true and false
+_NUMBER_TYPES = {int, float}
 
 
 @dataclass(frozen=True)
@@ -86,6 +97,65 @@ def _vector(v, path, dim=None):
     return out
 
 
+def _columns(objs, keys):
+    """One list per key when every entry is an object with exactly those keys."""
+    if set(map(type, objs)) == {dict} and set().union(*objs) <= set(keys):
+        try:
+            return [list(map(itemgetter(key), objs)) for key in keys]
+        except KeyError:  # some entry lacks a key
+            pass
+    return None
+
+
+def _linear_rows(rows):
+    """(label, coefficients, rhs) triples, with every int entry made a float.
+
+    The rows are checked whole-column; only when a check fails does the
+    per-row loop run, to raise the SchemaError of the first bad entry.
+    """
+    columns = _columns(rows, _ROW_KEYS)
+    if columns is not None:
+        labels, coeffs, rhs = columns
+        if (set(map(type, labels)) == {str} and set(map(type, coeffs)) == {list}
+                and set(map(type, rhs)) <= _NUMBER_TYPES):
+            entry_types = set(map(type, chain.from_iterable(coeffs)))
+            if entry_types <= _NUMBER_TYPES:
+                if int in entry_types:
+                    coeffs = map(map, repeat(float), coeffs)
+                return tuple(zip(labels, map(tuple, coeffs), map(float, rhs)))
+    for i, row in enumerate(rows):
+        path = f"$.rows[{i}]"
+        _expect(isinstance(row, dict), path, "expected an object")
+        _check_keys(row, _ROW_KEYS, path)
+        _expect("label" in row and isinstance(row["label"], str), f"{path}.label",
+                "expected a string label")
+        _vector(row.get("a"), f"{path}.a")
+        _number(row.get("b"), f"{path}.b")
+    raise AssertionError("the per-row checker passed rows the column checks failed")
+
+
+def _partition(blocks):
+    """(block, labels) pairs, checked like the rows: whole-column first."""
+    columns = _columns(blocks, _BLOCK_KEYS)
+    if columns is not None:
+        names, members = columns
+        if (set(map(type, names)) == {str} and set(map(type, members)) == {list}
+                and all(members)
+                and set(map(type, chain.from_iterable(members))) == {str}):
+            return tuple(zip(names, map(tuple, members)))
+    for i, blk in enumerate(blocks):
+        path = f"$.partition[{i}]"
+        _expect(isinstance(blk, dict), path, "expected an object")
+        _check_keys(blk, _BLOCK_KEYS, path)
+        _expect(isinstance(blk.get("block"), str), f"{path}.block",
+                "expected a string block label")
+        labels = blk.get("labels")
+        _expect(isinstance(labels, list) and labels
+                and all(isinstance(t, str) for t in labels),
+                f"{path}.labels", "expected a nonempty list of strings")
+    raise AssertionError("the per-block checker passed blocks the column checks failed")
+
+
 _CONVEX_KEYS = {
     "affine": {"block", "class", "c", "d"},
     "quadratic": {"block", "class", "Q", "c", "r"},
@@ -120,35 +190,13 @@ def parse_document(text: str) -> SystemDocument:
     if has_rows:
         _expect(isinstance(raw["rows"], list) and raw["rows"], "$.rows",
                 "expected a nonempty list")
-        rows = []
-        for i, row in enumerate(raw["rows"]):
-            path = f"$.rows[{i}]"
-            _expect(isinstance(row, dict), path, "expected an object")
-            _check_keys(row, ("label", "a", "b"), path)
-            _expect("label" in row and isinstance(row["label"], str), f"{path}.label",
-                    "expected a string label")
-            a = _vector(row.get("a"), f"{path}.a")
-            b = _number(row.get("b"), f"{path}.b")
-            rows.append((row["label"], tuple(a), b))
-        rows = tuple(rows)
+        rows = _linear_rows(raw["rows"])
 
     partition = None
     if "partition" in raw:
         _expect(isinstance(raw["partition"], list) and raw["partition"], "$.partition",
                 "expected a nonempty list")
-        partition = []
-        for i, blk in enumerate(raw["partition"]):
-            path = f"$.partition[{i}]"
-            _expect(isinstance(blk, dict), path, "expected an object")
-            _check_keys(blk, ("block", "labels"), path)
-            _expect(isinstance(blk.get("block"), str), f"{path}.block",
-                    "expected a string block label")
-            labels = blk.get("labels")
-            _expect(isinstance(labels, list) and labels
-                    and all(isinstance(t, str) for t in labels),
-                    f"{path}.labels", "expected a nonempty list of strings")
-            partition.append((blk["block"], tuple(labels)))
-        partition = tuple(partition)
+        partition = _partition(raw["partition"])
 
     convex = None
     if has_convex:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -40,13 +41,18 @@ class LinearSystem:
     norm: NormSpec = field(default_factory=NormSpec)
 
     def __post_init__(self):
+        dim = self.dimension
         triples = tuple(self.rows)
-        labels = tuple(str(label) for label, _, _ in triples)
-        coeffs = [np.array(a, dtype=float, ndmin=1) for _, a, _ in triples]
-        rhs = np.array([float(b) for _, _, b in triples])
-        matrix = None
-        if self.dimension >= 1 and all(a.shape == (self.dimension,) for a in coeffs):
-            matrix = coeffs = np.array(coeffs) if coeffs else np.zeros((0, self.dimension))
+        labels, coeffs, rhs = zip(*triples, strict=True) if triples else ((), (), ())
+        labels = tuple(map(str, labels))
+        rhs = np.array(list(map(float, rhs)))
+        matrix = _rectangular(coeffs, dim)
+        if matrix is not None:
+            coeffs = matrix
+        else:  # ragged or odd rows: one array each, as validate expects
+            coeffs = [np.array(a, dtype=float, ndmin=1) for a in coeffs]
+            if dim >= 1 and all(a.shape == (dim,) for a in coeffs):
+                matrix = coeffs = np.array(coeffs) if coeffs else np.zeros((0, dim))
         for arr in (rhs, *coeffs) if matrix is None else (rhs, matrix):
             arr.setflags(write=False)
         # rows iterated from the read-only matrix are read-only views of it
@@ -74,9 +80,20 @@ class LinearSystem:
         keep = set(labels)
         return LinearSystem(
             self.dimension,
-            tuple(r for r in self.rows if r[0] in keep),
+            tuple(compress(self.rows, map(keep.__contains__, self._labels))),
             self.norm,
         )
+
+
+def _rectangular(coeffs, dim):
+    """The coefficients as one new (m, dim) float array, or None if they are not."""
+    if dim < 1 or not coeffs:
+        return None
+    try:
+        matrix = np.array(coeffs, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    return matrix if matrix.shape == (len(coeffs), dim) else None
 
 
 @dataclass(frozen=True)
@@ -86,14 +103,19 @@ class BlockPartition:
     blocks: tuple  # of (block_label, tuple-of-row-labels)
 
     def __post_init__(self):
-        frozen = tuple(
-            (str(j), tuple(str(t) for t in members)) for j, members in self.blocks
-        )
-        object.__setattr__(self, "blocks", frozen)
+        blocks = tuple(self.blocks)
+        names, members = zip(*blocks, strict=True) if blocks else ((), ())
+        if not (set(map(type, blocks)) <= {tuple} and set(map(type, members)) <= {tuple}
+                and set(map(type, chain(names, *members))) <= {str}):
+            names = tuple(map(str, names))
+            members = tuple(map(tuple, map(map, repeat(str), members)))
+            blocks = tuple(zip(names, members))
+        # the two columns are stored beside the blocks for validate
+        self.__dict__.update(blocks=blocks, _names=names, _members=members)
 
     @property
     def block_labels(self) -> tuple:
-        return tuple(j for j, _ in self.blocks)
+        return self._names
 
     def block_of(self) -> dict:
         """Maps each row label to the index of its block."""
@@ -107,7 +129,8 @@ class BlockPartition:
     @staticmethod
     def maximum(labels) -> "BlockPartition":
         """Singleton blocks (independent per-row perturbations)."""
-        return BlockPartition(tuple((t, (t,)) for t in labels))
+        labels = tuple(labels)
+        return BlockPartition(tuple(zip(labels, zip(labels))))
 
 
 @dataclass(frozen=True)
@@ -117,7 +140,7 @@ class Perturbation:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
 
     @staticmethod
     def zero(partition: BlockPartition) -> "Perturbation":
@@ -139,7 +162,7 @@ class CharacteristicSet:
         offs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeff)
         object.__setattr__(self, "offsets", offs)
-        object.__setattr__(self, "labels", tuple(str(t) for t in self.labels))
+        object.__setattr__(self, "labels", tuple(map(str, self.labels)))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -170,9 +193,12 @@ def validate(system: LinearSystem, partition: BlockPartition | None = None) -> V
     if dim < 1:
         issues.append(f"dimension must be positive, got {dim}")
     m = len(labels)
-    first = dict(zip(labels[::-1], range(m - 1, -1, -1)))  # label -> its first row
-    repeated = np.ones(m, dtype=bool)
-    repeated[list(first.values())] = False
+    known = set(labels)
+    repeated = np.zeros(m, dtype=bool)
+    if len(known) < m:  # every row but the first of each label repeats one
+        first = dict(zip(labels[::-1], range(m - 1, -1, -1)))
+        repeated[:] = True
+        repeated[list(first.values())] = False
     if A is not None:
         wrong_length, finite = np.zeros(m, dtype=bool), np.isfinite(A).all(axis=1)
     else:  # no matrix: some row's length is wrong, so check each row's array
@@ -194,23 +220,27 @@ def validate(system: LinearSystem, partition: BlockPartition | None = None) -> V
         issues.append("system has no rows")
 
     if partition is not None:
-        block_seen = set()
-        for j, members in partition.blocks:
-            if j in block_seen:
-                issues.append(f"duplicate block label {j!r}")
-            block_seen.add(j)
-            if not members:
-                issues.append(f"block {j!r} is empty")
-        counts = Counter(t for _, members in partition.blocks for t in members)
-        overlaps = sorted(t for t, c in counts.items() if c > 1)
-        if overlaps:
-            issues.append(f"labels appear in more than one block: {overlaps}")
-        missing = sorted(first.keys() - counts.keys())
-        if missing:
-            issues.append(f"partition does not cover index set (missing {missing})")
-        extra = sorted(counts.keys() - first.keys())
-        if extra:
-            issues.append(f"partition references unknown labels {extra}")
+        names, members = partition._names, partition._members
+        if len(set(names)) < len(names) or not all(members):
+            block_seen = set()
+            for j, block in partition.blocks:
+                if j in block_seen:
+                    issues.append(f"duplicate block label {j!r}")
+                block_seen.add(j)
+                if not block:
+                    issues.append(f"block {j!r} is empty")
+        covered = set(chain.from_iterable(members))
+        if len(covered) < sum(map(len, members)):
+            counts = Counter(chain.from_iterable(members))
+            issues.append("labels appear in more than one block: "
+                          f"{sorted(t for t, c in counts.items() if c > 1)}")
+        if covered != known:
+            missing = sorted(known - covered)
+            if missing:
+                issues.append(f"partition does not cover index set (missing {missing})")
+            extra = sorted(covered - known)
+            if extra:
+                issues.append(f"partition references unknown labels {extra}")
     return ValidationReport(tuple(issues))
 
 

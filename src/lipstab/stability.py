@@ -21,6 +21,7 @@ from .errors import (
     InternalCheckError,
     NonConvergentError,
     SSCViolatedError,
+    ValidationError,
 )
 from .model import (
     FEAS_TOL,
@@ -206,8 +207,17 @@ def _ssc_margin_lp(A, b, seed):
         working[worst[violated[worst]]] = True
 
 
-def _require_anchor(system: LinearSystem, anchor, tol: float) -> np.ndarray:
+def _anchor_vector(anchor, dimension: int) -> np.ndarray:
+    """The anchor as a float vector; ValidationError unless it has dimension entries."""
     anchor = np.asarray(anchor, dtype=float)
+    if anchor.shape != (dimension,):
+        raise ValidationError(
+            f"anchor has {anchor.size} entries for a {dimension}-dimensional system")
+    return anchor
+
+
+def _require_anchor(system: LinearSystem, anchor, tol: float) -> np.ndarray:
+    anchor = _anchor_vector(anchor, system.dimension)
     res = system.residuals(anchor)
     if res.size and res.max() > tol:
         worst = int(np.argmax(res))
@@ -223,9 +233,13 @@ def distance_formula(system: LinearSystem, partition: BlockPartition,
 
     Requires the strong Slater condition for the perturbed system; in R^n
     the hull needs no closure, so the supremum runs over the plain convex
-    hull of the generators.
+    hull of the generators.  ``tol`` has two units in this module: relative
+    to each row's norm in the strong-Slater step (its only use here, since
+    x may be any point), and absolute where an anchor's feasibility is
+    tested (`lip_bound`).
     """
     validated(system, partition)
+    x = _anchor_vector(x, system.dimension)
     pert = perturbed_system(system, partition, p)
     if not check_ssc(pert, tol).holds:
         raise SSCViolatedError("perturbed system fails the strong Slater condition")
@@ -237,7 +251,11 @@ def lip_bound(system: LinearSystem, anchor, tol: float = FEAS_TOL) -> LipReport:
     """Exact Lipschitzian bound of the feasible map at (0, anchor).
 
     Partition-independent: the computation consumes only the nominal
-    characteristic set C(0).
+    characteristic set C(0).  ``tol`` has two units: in the strong-Slater
+    step it is relative to each row's norm, while the anchor's feasibility
+    and its active rows are tested against it absolutely (residuals
+    <a_t, anchor> - b_t above tol reject the anchor, and those within tol
+    of zero are active).
     """
     validated(system)
     anchor = _require_anchor(system, anchor, tol)

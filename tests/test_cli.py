@@ -248,6 +248,38 @@ class TestDocumentsOut:
         assert "ssc=true" in last_line(out)
 
 
+class TestAnchorLength:
+    """An anchor of the wrong length is a validation error that names both sizes."""
+
+    @pytest.fixture
+    def paper1000(self, tmp_path, capsys):
+        path = tmp_path / "p1000.json"
+        code, _ = run(["demo", "paper-example", "--N", "1000", "--out", str(path)],
+                      capsys=capsys)
+        assert code == 0
+        return str(path)
+
+    @pytest.mark.parametrize("verb,extra", [
+        ("lip", []), ("dist", []), ("codnorm", []), ("eps-active", ["--eps", "0.5"]),
+        ("estimate", []), ("compare-partitions", []),
+    ])
+    def test_linear_verbs(self, paper1000, verb, extra, capsys):
+        code = run_cli([verb, "--system", paper1000, "--anchor=0.1", *extra])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: anchor has 1 entries for a 2-dimensional system\n")
+
+    @pytest.mark.parametrize("verb", ["lip", "dist", "linearize"])
+    def test_convex_verbs(self, tmp_path, verb, capsys):
+        path = tmp_path / "square.json"
+        code, _ = run(["demo", "convex-square", "--out", str(path)], capsys=capsys)
+        assert code == 0
+        code = run_cli([verb, "--system", str(path), "--anchor=0.1,0.2"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: anchor has 2 entries for a 1-dimensional system\n")
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 

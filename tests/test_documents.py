@@ -1,8 +1,13 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lipstab import documents
 from lipstab.documents import (
     TRUNCATION_NOTE,
+    SystemDocument,
     build_models,
     demo_generate,
     fmt,
@@ -157,3 +162,162 @@ class TestCsv:
     def test_fmt_matches_repr_precision(self):
         assert fmt(1 / np.sqrt(2)) == "0.70710678118654746"
         assert fmt(False) == "false"
+
+
+def _linear_text(rows, partition=None):
+    doc = {"version": "lipstab-v1", "dimension": 2, "norm": "euclid", "rows": rows}
+    if partition is not None:
+        doc["partition"] = partition
+    return json.dumps(doc)
+
+
+def _five_rows():
+    return [{"label": f"t{i}", "a": [1.0, -i], "b": 0.5 * i} for i in range(5)]
+
+
+# (case, spoiled row, exact message with {p} standing for the row's path)
+BAD_ROWS = [
+    ("true in a", lambda r: {**r, "a": [1.0, True]}, "{p}.a[1]: expected a number"),
+    ("string in a", lambda r: {**r, "a": ["1.0", 2.0]}, "{p}.a[0]: expected a number"),
+    ("b false", lambda r: {**r, "b": False}, "{p}.b: expected a number"),
+    ("missing label", lambda r: {"a": r["a"], "b": r["b"]},
+     "{p}.label: expected a string label"),
+    ("int label", lambda r: {**r, "label": 3}, "{p}.label: expected a string label"),
+    ("extra row key", lambda r: {**r, "c": 1.0}, "{p}.c: unknown field (strict schema)"),
+    ("a not a list", lambda r: {**r, "a": 1.0}, "{p}.a: expected a list of numbers"),
+    ("row not an object", lambda r: [r["label"], r["a"], r["b"]],
+     "{p}: expected an object"),
+]
+
+
+class TestSchemaErrors:
+    """Exact SchemaError text for bad entries in the first, a middle and the last row."""
+
+    @pytest.mark.parametrize("where", [0, 2, 4], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("case,spoil,message", BAD_ROWS, ids=[c[0] for c in BAD_ROWS])
+    def test_bad_row(self, case, spoil, message, where):
+        rows = _five_rows()
+        rows[where] = spoil(rows[where])
+        with pytest.raises(SchemaError) as err:
+            parse_document(_linear_text(rows))
+        assert str(err.value) == message.format(p=f"$.rows[{where}]")
+
+    @pytest.mark.parametrize("where", [0, 2, 4], ids=["first", "middle", "last"])
+    def test_partition_label_not_a_string(self, where):
+        blocks = [{"block": f"B{i}", "labels": [f"t{i}"]} for i in range(5)]
+        blocks[where]["labels"] = [f"t{where}", 7]
+        with pytest.raises(SchemaError) as err:
+            parse_document(_linear_text(_five_rows(), blocks))
+        assert str(err.value) == (f"$.partition[{where}].labels: "
+                                  "expected a nonempty list of strings")
+
+    def test_first_bad_entry_in_document_order_is_reported(self):
+        rows = _five_rows()
+        rows[1]["b"] = True
+        rows[3]["a"] = [None, 0.0]
+        with pytest.raises(SchemaError) as err:
+            parse_document(_linear_text(rows))
+        assert str(err.value) == "$.rows[1].b: expected a number"
+
+    def test_int_entries_parse_to_floats(self):
+        text = _linear_text([{"label": "t", "a": [1, 0], "b": 2}])
+        doc = parse_document(text)
+        assert doc.rows == (("t", (1.0, 0.0), 2.0),)
+        assert all(type(v) is float for v in (*doc.rows[0][1], doc.rows[0][2]))
+        assert '"b": 2.0' in serialize_document(doc)
+
+
+def _oracle_number(v, path):
+    if not (isinstance(v, (int, float)) and not isinstance(v, bool)):
+        raise SchemaError(path, "expected a number")
+    return float(v)
+
+
+def _oracle_rows(raw_rows):
+    """The per-entry row checker and builder the whole-column one replaced, frozen."""
+    rows = []
+    for i, row in enumerate(raw_rows):
+        path = f"$.rows[{i}]"
+        if not isinstance(row, dict):
+            raise SchemaError(path, "expected an object")
+        for key in row:
+            if key not in ("label", "a", "b"):
+                raise SchemaError(f"{path}.{key}", "unknown field (strict schema)")
+        if not ("label" in row and isinstance(row["label"], str)):
+            raise SchemaError(f"{path}.label", "expected a string label")
+        a = row.get("a")
+        if not isinstance(a, list):
+            raise SchemaError(f"{path}.a", "expected a list of numbers")
+        a = [_oracle_number(x, f"{path}.a[{j}]") for j, x in enumerate(a)]
+        b = _oracle_number(row.get("b"), f"{path}.b")
+        rows.append((row["label"], tuple(a), b))
+    return tuple(rows)
+
+
+_numbers = st.one_of(st.integers(-10**6, 10**6),
+                     st.floats(allow_nan=False, allow_infinity=False))
+_not_numbers = st.one_of(st.booleans(), st.none(), st.text(max_size=2),
+                         st.lists(st.integers(), max_size=1))
+_rows = st.lists(st.fixed_dictionaries({"label": st.text(max_size=3),
+                                        "a": st.lists(_numbers, max_size=3),
+                                        "b": _numbers}),
+                 min_size=1, max_size=6)
+
+
+@st.composite
+def _rows_with_at_most_one_bad_entry(draw):
+    rows = draw(_rows)
+    kind = draw(st.sampled_from(
+        ["none", "entry", "b", "label", "drop", "extra", "a", "row"]))
+    i = draw(st.integers(0, len(rows) - 1))
+    row = rows[i]
+    if kind == "entry" and row["a"]:
+        row["a"][draw(st.integers(0, len(row["a"]) - 1))] = draw(_not_numbers)
+    elif kind == "b":
+        row["b"] = draw(_not_numbers)
+    elif kind == "label":
+        row["label"] = draw(st.one_of(st.integers(), st.none(), st.booleans(),
+                                      st.just([])))
+    elif kind == "drop":
+        del row[draw(st.sampled_from(sorted(row)))]
+    elif kind == "extra":
+        row[draw(st.sampled_from(["c", "A", "label "]))] = 1.0
+    elif kind == "a":
+        row["a"] = draw(st.one_of(_numbers, st.text(max_size=2), st.none(),
+                                  st.just({})))
+    elif kind == "row":
+        rows[i] = draw(st.one_of(st.lists(_numbers, max_size=2), st.text(max_size=2),
+                                 st.none(), st.integers()))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows_with_at_most_one_bad_entry())
+def test_rows_agree_with_the_per_entry_checker(rows):
+    text = _linear_text(rows)
+    try:
+        expected = SystemDocument(2, "euclid", _oracle_rows(json.loads(text)["rows"]))
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as err:
+            parse_document(text)
+        assert str(err.value) == str(exc)
+    else:
+        doc = parse_document(text)
+        assert doc == expected
+        assert serialize_document(doc) == serialize_document(expected)
+
+
+def test_valid_rows_never_reach_the_per_entry_checker(monkeypatch):
+    calls = []
+    for name in ("_number", "_vector"):
+        real = getattr(documents, name)
+        monkeypatch.setattr(documents, name,
+                            lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    text = serialize_document(demo_generate("paper-example", N=1000))
+    system, partition, _ = build_models(parse_document(text))
+    assert calls == []
+    assert len(system.rows) == len(partition.blocks) == 1001
+    with pytest.raises(SchemaError):  # the spies do see the error path
+        parse_document(text.replace('"b": 1.0', '"b": true', 1))
+    assert calls

@@ -90,6 +90,28 @@ class TestValidate:
         with pytest.raises(ValidationError):
             system.coefficient_matrix()
 
+    def test_scalar_coefficients_of_a_one_dimensional_system(self):
+        # not a rectangular (m, 1) stack, but every row is one entry long
+        system = LinearSystem(1, (("t1", 2, 1), ("t2", [-1.0], 0)))
+        assert system.coefficient_matrix().tolist() == [[2.0], [-1.0]]
+        assert system.rows[0][1].base is system.coefficient_matrix()
+        assert validate(system).accepted
+
+    def test_partition_messages_follow_block_order(self):
+        system = LinearSystem(1, (("a", [1.0], 0.0), ("b", [1.0], 0.0)))
+        part = BlockPartition((("B", ()), ("C", ("a",)), ("B", ("b", "a"))))
+        assert validate(system, part).issues == (
+            "block 'B' is empty",
+            "duplicate block label 'B'",
+            "labels appear in more than one block: ['a']",
+        )
+
+    def test_partition_labels_become_strings(self):
+        part = BlockPartition([(1, [2, 3]), ("b", "t")])
+        assert part.blocks == (("1", ("2", "3")), ("b", ("t",)))
+        assert BlockPartition.maximum(iter(["x", "y"])).blocks == (("x", ("x",)),
+                                                                   ("y", ("y",)))
+
 
 class TestOwnedArrays:
     def test_caller_vector_stays_writeable(self):
