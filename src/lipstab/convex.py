@@ -6,6 +6,11 @@ LP-computable) Fenchel-Legendre conjugate, so every subgradient cut
 by Fenchel-Young equality.  The linearized rows <u, x> <= f*(u) + p_j form
 one block per convex inequality, which is where block perturbations come
 from: one right-hand-side scalar moves a whole block at once.
+
+A linearization grows in rounds, each appending its new cuts after the rows
+already held.  A new cut is dropped when its u lies within 1e-12 in max-norm
+of a cut kept earlier in its round and block, or else of a cut the block
+held before the round; so the first cut is kept.
 """
 from __future__ import annotations
 
@@ -22,6 +27,7 @@ from .stability import REGIME_SSC_FAILS, LipReport, _anchor_vector, lip_bound
 from .streams import streams
 
 FY_TOL = 1e-9
+_NEAR_ENTRIES = 2**20  # differences held at once by the duplicate test (8 MB)
 
 
 @dataclass(frozen=True)
@@ -191,18 +197,11 @@ class CutConfig:
 
 
 @dataclass(frozen=True)
-class ConjugateSample:
-    block: str
-    u: np.ndarray
-    fstar: float
-    provenance: np.ndarray
-
-
-@dataclass(frozen=True)
 class LinearizedSystem:
     system: LinearSystem
     partition: BlockPartition
-    samples: tuple
+    block: np.ndarray       # function index of each row
+    provenance: np.ndarray  # sample point of each row's cut
 
 
 @dataclass(frozen=True)
@@ -217,84 +216,89 @@ class ConvexLipReport:
 
 
 def _cut_points(anchor, cfg: CutConfig, block_idx: int, dimension: int, budget: int,
-                round_idx: int = 0, centers=None):
-    """Deterministic sample points: the anchor plus radius-ladder rings."""
-    pts = [np.asarray(anchor, dtype=float)]
-    if centers is None:
-        centers = [np.asarray(anchor, dtype=float)]
-    i = 0
-    while len(pts) < budget + 1:
+                round_idx: int = 0, centers=None) -> np.ndarray:
+    """Deterministic sample points, one per row: the anchor, then radius-ladder rings."""
+    anchor = np.asarray(anchor, dtype=float)
+    centers = anchor[None, :] if centers is None else np.asarray(centers, dtype=float)
+    radii = np.asarray(cfg.radii, dtype=float)
+    pts, count, i = [anchor[None, :]], 1, 0
+    while count < budget + 1:
+        stop = i + budget + 1 - count
         # point i draws from the stream default_rng((seed, round, block, i))
-        for rng in streams((cfg.seed, round_idx, block_idx), range(i, i + budget + 1 - len(pts))):
-            radius = cfg.radii[i % len(cfg.radii)]
-            center = centers[i % len(centers)]
-            direction = rng.normal(size=dimension)
-            nrm = np.linalg.norm(direction)
-            if nrm > 1e-12:
-                pts.append(center + radius * direction / nrm)
-            i += 1
-    return pts
+        D = np.array([rng.normal(size=dimension)
+                      for rng in streams((cfg.seed, round_idx, block_idx), range(i, stop))])
+        # row-wise dot products: np.linalg.norm's own sum on every row
+        nrm = np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])
+        ok = nrm > 1e-12
+        idx = np.arange(i, stop)[ok]
+        pts.append(centers[idx % len(centers)]
+                   + radii[idx % len(radii)][:, None] * D[ok] / nrm[ok, None])
+        count, i = count + len(idx), stop
+    return np.concatenate(pts)
+
+
+def _kept(U, held) -> np.ndarray:
+    """Mask of the new cuts U (rows, in sample order) that pass both duplicate tests.
+
+    The test against held runs apart from, and after, the one within U:
+    nearness is not transitive, so a cut dropped for a held neighbour still
+    drops the later cuts near it.
+    """
+    def near(P, Q):
+        return np.abs(P[:, None, :] - Q[None, :, :]).max(axis=2, initial=0.0) <= 1e-12
+
+    step = max(1, _NEAR_ENTRIES // ((len(U) + len(held)) * U.shape[1]))
+    first, fresh = np.ones(len(U), dtype=bool), np.ones(len(U), dtype=bool)
+    for lo in range(0, len(U), step):
+        earlier = np.tril(near(U[lo:lo + step], U[:lo + step]), lo - 1)
+        for i in lo + np.flatnonzero(earlier.any(axis=1)):
+            first[i] = not (earlier[i - lo, :i] & first[:i]).any()
+        fresh[lo:lo + step] = ~near(U[lo:lo + step], held).any(axis=1)
+    return first & fresh
 
 
 def linearize(fs, cfg: CutConfig, anchor, norm: NormSpec = NormSpec(),
-              block_labels=None, round_idx: int = 0, centers_per_block=None,
-              extra_budget: int | None = None) -> LinearizedSystem:
+              block_labels=None) -> LinearizedSystem:
     """Subgradient-cut linearization of {f_j(x) <= p_j} around the anchor.
 
     Every cut is exact on the conjugate graph: f*(u) is evaluated through
     Fenchel-Young equality at the sample point, never numerically
-    conjugated.  Duplicate u within 1e-12 are dropped (first kept).  Blocks
-    are per function, so right-hand-side perturbations of the convex system
-    are block perturbations of the linearization.
+    conjugated.  A cut within 1e-12 in max-norm of one kept earlier in its
+    block and round is dropped, so the first is kept (refinement rounds then
+    test against the cuts the block held before the round).  Rows run block
+    by block, then by sample index i (the anchor is 0), labelled
+    (j=<block>, sample 0.<i>).  Blocks are per function, so right-hand-side
+    perturbations of the convex system are block perturbations of the
+    linearization.
     """
     anchor = _anchor_vector(anchor, fs[0].dimension)
-    if block_labels is None:
-        block_labels = [str(j) for j in range(len(fs))]
-    rows = []
-    blocks = []
-    samples = []
-    budget = extra_budget if extra_budget is not None else cfg.budget
+    block_labels = map(str, range(len(fs))) if block_labels is None else block_labels
+    n = anchor.shape[0]
+    empty = LinearizedSystem(LinearSystem(n, (), norm),
+                             BlockPartition(tuple((j, ()) for j, _ in zip(block_labels, fs))),
+                             np.zeros(0, dtype=int), np.zeros((0, n)))
+    return _extend(empty, fs, cfg, anchor, 0, cfg.budget, [None] * len(fs))
+
+
+def _extend(lin: LinearizedSystem, fs, cfg: CutConfig, anchor, round_idx: int, budget: int,
+            centers_per_block) -> LinearizedSystem:
+    """lin with the round's kept cuts appended, labelled (j=<block>, sample <round>.<i>)."""
+    names, held = lin.partition.block_labels, lin.system.coefficient_matrix()
+    members = [list(m) for _, m in lin.partition.blocks]
+    rows, block, prov = list(lin.system.rows), [lin.block], [lin.provenance]
     for j, f in enumerate(fs):
-        centers = None if centers_per_block is None else centers_per_block[j]
-        pts = _cut_points(anchor, cfg, j, f.dimension, budget, round_idx, centers)
-        seen = []
-        members = []
-        for i, xs in enumerate(pts):
-            val, u = eval_sub(f, xs)
-            if any(np.abs(u - prev).max(initial=0.0) <= 1e-12 for prev in seen):
-                continue
-            seen.append(u)
-            fstar = float(u @ xs - val)
-            label = f"(j={block_labels[j]}, sample {round_idx}.{i})"
-            rows.append((label, u, fstar))
-            members.append(label)
-            samples.append(ConjugateSample(block_labels[j], u, fstar, xs))
-        blocks.append((block_labels[j], tuple(members)))
-    system = LinearSystem(anchor.shape[0], tuple(rows), norm)
-    return LinearizedSystem(system, BlockPartition(tuple(blocks)), tuple(samples))
-
-
-def _merge(lin: LinearizedSystem, extra: LinearizedSystem) -> LinearizedSystem:
-    """Nested refinement: previous rows kept, new distinct cuts appended."""
-    rows = list(lin.system.rows)
-    samples = list(lin.samples)
-    blocks = {j: list(members) for j, members in lin.partition.blocks}
-    existing = {j: [r[1] for r in lin.system.rows if r[0] in set(members)]
-                for j, members in lin.partition.blocks}
-    for (label, u, fstar), sample in zip(extra.system.rows, extra.samples):
-        us = existing.setdefault(sample.block, [])
-        if any(np.abs(u - prev).max(initial=0.0) <= 1e-12 for prev in us):
-            continue
-        us.append(u)
-        rows.append((label, u, fstar))
-        samples.append(sample)
-        blocks[sample.block].append(label)
-    parts = tuple((j, tuple(m)) for j, m in blocks.items())
-    return LinearizedSystem(
-        LinearSystem(lin.system.dimension, tuple(rows), lin.system.norm),
-        BlockPartition(parts),
-        tuple(samples),
-    )
+        pts = _cut_points(anchor, cfg, j, f.dimension, budget, round_idx, centers_per_block[j])
+        cuts = [eval_sub(f, x) for x in pts]
+        keep = np.flatnonzero(_kept(np.array([u for _, u in cuts]), held[lin.block == j]))
+        for i in keep:
+            val, u = cuts[i]
+            members[j].append(f"(j={names[j]}, sample {round_idx}.{i})")
+            rows.append((members[j][-1], u, float(u @ pts[i] - val)))
+        block.append(np.full(len(keep), j))
+        prov.append(pts[keep])
+    return LinearizedSystem(LinearSystem(lin.system.dimension, tuple(rows), lin.system.norm),
+                            BlockPartition(tuple(zip(names, map(tuple, members)))),
+                            np.concatenate(block), np.concatenate(prov))
 
 
 def lip_bound_convex(fs, anchor, cfg: CutConfig = CutConfig(),
@@ -320,12 +324,10 @@ def lip_bound_convex(fs, anchor, cfg: CutConfig = CutConfig(),
     history = [report.bound]
     if report.regime == REGIME_SSC_FAILS:
         return ConvexLipReport(np.inf, REGIME_SSC_FAILS, tuple(history), True, lin)
-    converged = False
+    converged = cfg.refine_rounds < 1  # no refinement requested
     for round_idx in range(1, cfg.refine_rounds + 1):
-        centers = _refine_centers(lin, report, anchor)
-        extra = linearize(fs, cfg, anchor, norm, block_labels, round_idx=round_idx,
-                          centers_per_block=centers, extra_budget=cfg.refine_budget)
-        lin = _merge(lin, extra)
+        lin = _extend(lin, fs, cfg, anchor, round_idx, cfg.refine_budget,
+                      _refine_centers(lin, report, anchor))
         report = lip_bound(lin.system, anchor, tol)
         history.append(report.bound)
         if report.regime == REGIME_SSC_FAILS:
@@ -334,8 +336,6 @@ def lip_bound_convex(fs, anchor, cfg: CutConfig = CutConfig(),
         if np.isfinite(cur) and abs(cur - prev) < cfg.rel_tol * max(1.0, abs(cur)):
             converged = True
             break
-    if len(history) < 2:
-        converged = True  # no refinement requested
     notes = () if converged else (
         f"refinement stalled at budget; last gap {abs(history[-1] - history[-2]):.3g}",)
     return ConvexLipReport(report.bound, report.regime, tuple(history), converged,
@@ -343,13 +343,11 @@ def lip_bound_convex(fs, anchor, cfg: CutConfig = CutConfig(),
 
 
 def _refine_centers(lin: LinearizedSystem, report: LipReport, anchor):
-    """New sample centers near the provenance of the active support atoms."""
-    by_block = {j: [np.asarray(anchor, dtype=float)] for j, _ in lin.partition.blocks}
-    if report.slice_weights is not None:
-        for w, sample in zip(report.slice_weights, lin.samples):
-            if w > 1e-10:
-                by_block[sample.block].append(sample.provenance)
-    return [by_block[j] for j, _ in lin.partition.blocks]
+    """Per block, the anchor, then the sample points of its cuts with slice weight above 1e-10."""
+    w = report.slice_weights
+    hot = np.zeros(len(lin.block), dtype=bool) if w is None else w > 1e-10
+    return [np.concatenate([anchor[None, :], lin.provenance[hot & (lin.block == j)]])
+            for j in range(len(lin.partition.blocks))]
 
 
 def distance_convex(fs, p, x, cfg: CutConfig = CutConfig(),
@@ -366,22 +364,22 @@ def distance_convex(fs, p, x, cfg: CutConfig = CutConfig(),
     p = np.asarray(p, dtype=float)
     if p.shape != (len(fs),):
         raise ValueError("p must carry one value per convex inequality")
-    cuts, rhs = [], []
-    for j, f in enumerate(fs):
-        val, u = eval_sub(f, x)
-        cuts.append(u)
-        rhs.append(float(u @ x - val) + p[j])
+
+    def cuts(js, y):  # the cut of each f_j at y, shifted by p_j
+        ev = [eval_sub(fs[j], y) for j in js]
+        return (np.reshape([u for _, u in ev], (-1, len(y))),
+                np.array([float(u @ y - val) + p[j] for j, (val, u) in zip(js, ev)]))
+
+    A, b = cuts(range(len(fs)), x)
     y = x
     for _ in range(500):
         viols = np.array([f.value(y) - p[j] for j, f in enumerate(fs)])
         if float(viols.max()) <= tol:
             return norm_value(norm.kind, y - x)
-        for j in np.where(viols > tol)[0]:
-            val, u = eval_sub(fs[j], y)
-            cuts.append(u)
-            rhs.append(float(u @ y - val) + p[j])
+        A_new, b_new = cuts(np.flatnonzero(viols > tol), y)
+        A, b = np.concatenate([A, A_new]), np.concatenate([b, b_new])
         try:
-            _, y = project_polyhedron(x, np.array(cuts), np.array(rhs), norm)
+            _, y = project_polyhedron(x, A, b, norm)
         except InfeasibleRegionError:
             raise InfeasibleRegionError(
                 "linearized region is empty, so the convex region is empty")

@@ -311,7 +311,7 @@ def coderivative_member(system: LinearSystem, partition: BlockPartition, anchor,
 
 
 def _certificate(mu, assign, n_blocks, A, b, anchor) -> CoderivCertificate:
-    p_star = tuple(-float(mu[assign == j].sum()) for j in range(n_blocks))
+    p_star = tuple((-np.bincount(assign, weights=mu, minlength=n_blocks)).tolist())
     x_star = -A.T @ mu
     anchor_residual = abs(float(mu @ (A @ anchor - b)))
     return CoderivCertificate(mu, p_star, x_star, anchor_residual)
