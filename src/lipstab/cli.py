@@ -2,8 +2,9 @@
 
 Every analysis command prints a short human-readable summary followed by a
 single machine-parsable verdict line; CSV reports go to --out.  Exit codes:
-0 success, 2 validation/schema errors, 3 solver or sampling non-convergence,
-4 a cross-check failed (no result reported).
+0 success, 2 validation/schema errors (a document of a kind the verb does
+not take among them), 3 solver or sampling non-convergence, 4 a cross-check
+failed (no result reported).
 Document-producing commands (demo, linearize) print clean JSON for piping.
 """
 from __future__ import annotations
@@ -36,8 +37,9 @@ from .errors import (
     SSCViolatedError,
     ValidationError,
 )
-from .estimator import SamplingConfig, empirical_lip, partition_compare
+from .estimator import SLACK_FRACTION, SamplingConfig, empirical_lip, partition_compare
 from .model import BlockPartition, Perturbation
+from .norms import NormSpec
 from .stability import (
     check_ssc,
     coderivative_norm,
@@ -60,6 +62,20 @@ def _parse_vector(text, name):
         raise ValueError(f"--{name} must be a comma-separated number list") from exc
 
 
+def _load(args):
+    """(document, models, partition, block labels, anchor) for the verb in args.
+
+    A document of a kind the verb does not take is a validation error.  Any
+    document error comes before an --anchor error; verbs without --anchor get None.
+    """
+    doc = parse_system(args.system)
+    if ("convex" if doc.is_convex else "linear") not in args.kinds:
+        raise ValidationError(f"{args.command} expects a {' or '.join(args.kinds)} document")
+    model, partition, labels = build_models(doc)
+    anchor = _parse_vector(args.anchor, "anchor") if "anchor" in args else None
+    return doc, model, partition, labels, anchor
+
+
 def _doc_notes(doc: SystemDocument):
     return (doc.truncation_note,) if doc.truncation_note else ()
 
@@ -73,9 +89,22 @@ def _emit(args, header, rows, human_lines, verdict):
     return 0
 
 
+def _emit_document(args, doc: SystemDocument):
+    text = serialize_document(doc)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    sys.stdout.write(text)
+    return 0
+
+
+def _sampling(args, **extra) -> SamplingConfig:
+    return SamplingConfig(radii=tuple(float(r) for r in args.radius_ladder.split(",")),
+                          samples_per_radius=args.samples, seed=args.seed, **extra)
+
+
 def _cmd_ssc(args):
-    doc = parse_system(args.system)
-    system, _, _ = build_models(doc)
+    _, system, _, _, _ = _load(args)
     rep = check_ssc(system, args.tol)
     human = [f"strong Slater condition: {'holds' if rep.holds else 'fails'}"]
     if rep.slater_point is not None:
@@ -86,32 +115,25 @@ def _cmd_ssc(args):
 
 
 def _cmd_dist(args):
-    doc = parse_system(args.system)
-    model, partition, _ = build_models(doc)
-    x = _parse_vector(args.anchor, "anchor")
+    doc, model, partition, labels, x = _load(args)
+    k = len(labels) if doc.is_convex else len(partition.blocks)
+    p = _parse_vector(args.p, "p") if args.p else np.zeros(k)
     if doc.is_convex:
-        fs = model
-        p = (_parse_vector(args.p, "p") if args.p
-             else np.zeros(len(fs)))
-        d = distance_convex(fs, p, x, CutConfig(seed=args.seed))
+        d = distance_convex(model, p, x, NormSpec(doc.norm))
     else:
-        k = len(partition.blocks)
-        p_vals = _parse_vector(args.p, "p") if args.p else np.zeros(k)
-        d = distance_formula(model, partition, Perturbation(tuple(p_vals)), x, args.tol)
-        p = p_vals
+        d = distance_formula(model, partition, Perturbation(tuple(p)), x, args.tol)
     rows = [(d, ";".join(fmt(v) for v in x), ";".join(fmt(v) for v in p))]
     human = [f"distance to the feasible set: {fmt(d)}"]
     return _emit(args, ["distance", "point", "p"], rows, human, f"dist={fmt(d)}")
 
 
 def _cmd_lip(args):
-    doc = parse_system(args.system)
-    model, partition, labels = build_models(doc)
-    anchor = _parse_vector(args.anchor, "anchor")
+    doc, model, _, labels, anchor = _load(args)
     notes = _doc_notes(doc)
     if doc.is_convex:
         cfg = CutConfig(seed=args.seed, budget=args.budget)
-        rep = lip_bound_convex(model, anchor, cfg, block_labels=list(labels))
+        rep = lip_bound_convex(model, anchor, cfg, NormSpec(doc.norm),
+                               block_labels=list(labels))
         rows = [(rep.bound, rep.regime, " -> ".join(fmt(h) for h in rep.history),
                  "; ".join(notes + rep.notes))]
         human = [f"regime: {rep.regime}",
@@ -140,9 +162,7 @@ def _cmd_lip(args):
 
 
 def _cmd_codnorm(args):
-    doc = parse_system(args.system)
-    system, partition, _ = build_models(doc)
-    anchor = _parse_vector(args.anchor, "anchor")
+    _, system, partition, _, anchor = _load(args)
     rep = coderivative_norm(system, partition, anchor, args.tol)
     support = ""
     if rep.certificate is not None:
@@ -157,9 +177,7 @@ def _cmd_codnorm(args):
 
 
 def _cmd_eps_active(args):
-    doc = parse_system(args.system)
-    system, _, _ = build_models(doc)
-    anchor = _parse_vector(args.anchor, "anchor")
+    _, system, _, _, anchor = _load(args)
     res = eps_active(system, anchor, args.eps, args.tol)
     ids = ",".join(res.indices)
     rows = [(args.eps, ids, res.report.bound, res.report.regime, res.full_bound,
@@ -173,35 +191,18 @@ def _cmd_eps_active(args):
 
 
 def _cmd_linearize(args):
-    doc = parse_system(args.system)
-    model, _, labels = build_models(doc)
-    if not doc.is_convex:
-        raise ValidationError("linearize expects a convex document")
-    anchor = _parse_vector(args.anchor, "anchor")
+    doc, model, _, labels, anchor = _load(args)
     cfg = CutConfig(seed=args.seed, budget=args.budget)
-    lin = linearize(model, cfg, anchor, block_labels=list(labels))
+    lin = linearize(model, cfg, anchor, NormSpec(doc.norm), block_labels=list(labels))
     rows = tuple((l, tuple(a), float(b)) for l, a, b in lin.system.rows)
     partition = tuple((j, tuple(m)) for j, m in lin.partition.blocks)
-    out_doc = SystemDocument(doc.dimension, doc.norm, rows, partition, None,
-                             doc.truncation_note)
-    text = serialize_document(out_doc)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
-    return 0
+    return _emit_document(args, SystemDocument(doc.dimension, doc.norm, rows, partition,
+                                               None, doc.truncation_note))
 
 
 def _cmd_estimate(args):
-    doc = parse_system(args.system)
-    system, partition, _ = build_models(doc)
-    anchor = _parse_vector(args.anchor, "anchor")
-    cfg = SamplingConfig(
-        radii=tuple(float(r) for r in args.radius_ladder.split(",")),
-        samples_per_radius=args.samples,
-        seed=args.seed,
-        perturb_anchor=not args.fix_anchor,
-    )
+    doc, system, partition, _, anchor = _load(args)
+    cfg = _sampling(args, perturb_anchor=not args.fix_anchor)
     rep = empirical_lip(system, partition, anchor, cfg, notes=_doc_notes(doc))
     note = "; ".join(rep.notes)
     rows = [
@@ -219,19 +220,12 @@ def _cmd_estimate(args):
 
 
 def _cmd_compare(args):
-    doc = parse_system(args.system)
-    system, partition, _ = build_models(doc)
-    anchor = _parse_vector(args.anchor, "anchor")
-    cfg = SamplingConfig(
-        radii=tuple(float(r) for r in args.radius_ladder.split(",")),
-        samples_per_radius=args.samples,
-        seed=args.seed,
-    )
+    doc, system, partition, _, anchor = _load(args)
     user_partitions = [partition] if doc.partition is not None else [
         _random_partition(system.labels, args.blocks, args.seed)
     ]
     try:
-        rep = partition_compare(system, user_partitions, anchor, cfg)
+        rep = partition_compare(system, user_partitions, anchor, _sampling(args))
     except OrderingViolationError as exc:
         if args.out:
             write_csv(args.out, ["partition", "bound_vs", "estimate", "other"],
@@ -241,7 +235,7 @@ def _cmd_compare(args):
     for name, entry in rep.entries:
         for s in sorted(entry.per_radius, key=lambda s: s.radius):
             rows.append((name, s.radius, s.max_quotient, entry.estimate, rep.lip,
-                         abs(entry.estimate - rep.lip) <= 0.05 * rep.lip + 1e-9
+                         abs(entry.estimate - rep.lip) <= SLACK_FRACTION * rep.lip + 1e-9
                          if np.isfinite(rep.lip) else True))
     human = [f"{name}: estimate {fmt(entry.estimate)} (exact bound {fmt(rep.lip)})"
              for name, entry in rep.entries]
@@ -273,13 +267,7 @@ def _cmd_demo(args):
     if args.m is not None:
         params["m"] = args.m
     params["seed"] = args.seed
-    doc = demo_generate(args.name, **params)
-    text = serialize_document(doc)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
-    return 0
+    return _emit_document(args, demo_generate(args.name, **params))
 
 
 def _add_common(sub, anchor=True):
@@ -309,31 +297,31 @@ def build_parser():
 
     p = subs.add_parser("ssc", help="certify the strong Slater condition")
     _add_common(p, anchor=False)
-    p.set_defaults(func=_cmd_ssc)
+    p.set_defaults(func=_cmd_ssc, kinds=("linear",))
 
     p = subs.add_parser("dist", help="distance to the perturbed feasible set")
     _add_common(p)
     p.add_argument("--p", default=None, help='per-block perturbation "p1,...,pk"')
-    p.set_defaults(func=_cmd_dist)
+    p.set_defaults(func=_cmd_dist, kinds=("linear", "convex"))
 
     p = subs.add_parser("lip", help="exact Lipschitzian bound at the anchor")
     _add_common(p)
     p.add_argument("--budget", type=int, default=64, help="convex cut budget")
-    p.set_defaults(func=_cmd_lip)
+    p.set_defaults(func=_cmd_lip, kinds=("linear", "convex"))
 
     p = subs.add_parser("codnorm", help="coderivative norm (cross-checked)")
     _add_common(p)
-    p.set_defaults(func=_cmd_codnorm)
+    p.set_defaults(func=_cmd_codnorm, kinds=("linear",))
 
     p = subs.add_parser("eps-active", help="eps-active rows and reduced bound")
     _add_common(p)
     p.add_argument("--eps", type=float, required=True)
-    p.set_defaults(func=_cmd_eps_active)
+    p.set_defaults(func=_cmd_eps_active, kinds=("linear",))
 
     p = subs.add_parser("linearize", help="conjugate-cut linearization document")
     _add_common(p)
     p.add_argument("--budget", type=int, default=64)
-    p.set_defaults(func=_cmd_linearize)
+    p.set_defaults(func=_cmd_linearize, kinds=("convex",))
 
     p = subs.add_parser("estimate", help="empirical quotient estimate")
     _add_common(p)
@@ -341,7 +329,7 @@ def build_parser():
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--fix-anchor", action="store_true",
                    help="perturb p only, keeping x at the anchor")
-    p.set_defaults(func=_cmd_estimate)
+    p.set_defaults(func=_cmd_estimate, kinds=("linear",))
 
     p = subs.add_parser("compare-partitions",
                         help="min/user/max partition estimates vs the exact bound")
@@ -350,7 +338,7 @@ def build_parser():
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--blocks", type=int, default=2,
                    help="random middle partition block count")
-    p.set_defaults(func=_cmd_compare)
+    p.set_defaults(func=_cmd_compare, kinds=("linear",))
 
     p = subs.add_parser("demo", help="emit a built-in demo document")
     p.add_argument("name", choices=["paper-example", "convex-square",

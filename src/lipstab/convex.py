@@ -350,8 +350,7 @@ def _refine_centers(lin: LinearizedSystem, report: LipReport, anchor):
             for j in range(len(lin.partition.blocks))]
 
 
-def distance_convex(fs, p, x, cfg: CutConfig = CutConfig(),
-                    norm: NormSpec = NormSpec(), tol: float = 1e-8) -> float:
+def distance_convex(fs, p, x, norm: NormSpec = NormSpec(), tol: float = 1e-8) -> float:
     """dist(x; {y : f_j(y) <= p_j}) by Kelley cutting planes.
 
     Projects onto the current linearization, cuts every violated inequality

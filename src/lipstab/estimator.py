@@ -29,6 +29,7 @@ from .solvers.projection import project_polyhedron
 from .streams import streams
 
 _TINY = 1e-12
+SLACK_FRACTION = 0.05  # partition_compare's slack, as a share of the exact bound
 _CHUNK_BYTES = 128 * 1024
 
 
@@ -191,14 +192,14 @@ def empirical_lip(system: LinearSystem, partition: BlockPartition, anchor,
 
 
 def partition_compare(system: LinearSystem, partitions, anchor,
-                      cfg: SamplingConfig = SamplingConfig(),
-                      slack_fraction: float = 0.05) -> PartitionCompareReport:
+                      cfg: SamplingConfig = SamplingConfig()) -> PartitionCompareReport:
     """Empirical estimates for min/user/max partitions against the exact bound.
 
     Asserts the sampled estimates respect min <= J <= max up to the
-    statistical slack and that every partition's smallest-radius estimate
-    lands within the slack of the exact bound (they all share it: the
-    computation is partition-independent in R^n).
+    statistical slack (SLACK_FRACTION of the exact bound, plus 1e-9) and that
+    every partition's smallest-radius estimate lands within the slack of the
+    exact bound (they all share it: the computation is partition-independent
+    in R^n).
     """
     validated(system)
     labels = system.labels
@@ -213,7 +214,7 @@ def partition_compare(system: LinearSystem, partitions, anchor,
         ordered = all(np.isinf(rep.estimate) for _, rep in entries)
         return PartitionCompareReport(tuple(entries), lip, ordered, ordered)
 
-    slack = slack_fraction * lip + 1e-9
+    slack = SLACK_FRACTION * lip + 1e-9
     est = {name: rep.estimate for name, rep in entries}
     offending = []
     for name, rep in entries:

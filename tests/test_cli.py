@@ -280,6 +280,77 @@ class TestAnchorLength:
             "error: anchor has 2 entries for a 1-dimensional system\n")
 
 
+# every verb that reads a system document, with the options it needs here
+DOCUMENT_VERBS = {
+    "ssc": [], "dist": [], "lip": [], "codnorm": [], "eps-active": ["--eps", "0.5"],
+    "linearize": [], "estimate": ["--samples", "50", "--radius-ladder", "0.1"],
+    "compare-partitions": ["--samples", "200", "--seed", "3"],
+}
+LINEAR_ONLY = ("ssc", "codnorm", "eps-active", "estimate", "compare-partitions")
+# one demo document of each kind, with an anchor in it
+KIND_DEMOS = {"linear": (["paper-example", "--N", "3"], "0,0"),
+              "convex": (["convex-square"], "0")}
+
+
+class TestDocumentKinds:
+    """A verb given a document of a kind it does not take exits 2 and says so."""
+
+    @pytest.mark.parametrize("kind", KIND_DEMOS)
+    @pytest.mark.parametrize("verb", DOCUMENT_VERBS)
+    def test_every_verb_on_both_kinds(self, tmp_path, kind, verb, capsys):
+        demo, anchor = KIND_DEMOS[kind]
+        path = tmp_path / "doc.json"
+        code, _ = run(["demo", *demo, "--out", str(path)], capsys=capsys)
+        assert code == 0
+        argv = [verb, "--system", str(path), *DOCUMENT_VERBS[verb]]
+        code = run_cli(argv if verb == "ssc" else argv + [f"--anchor={anchor}"])
+        err = capsys.readouterr().err
+        if kind == "convex" and verb in LINEAR_ONLY:
+            assert (code, err) == (2, f"error: {verb} expects a linear document\n")
+        elif kind == "linear" and verb == "linearize":
+            assert (code, err) == (2, "error: linearize expects a convex document\n")
+        else:
+            assert (code, err) == (0, "")
+
+
+class TestConvexNorm:
+    """A convex document's norm is the one its lip, dist and linearize use."""
+
+    @staticmethod
+    def _docs(tmp_path, norm):
+        head = {"version": "lipstab-v1", "dimension": 2, "norm": norm}
+        convex = dict(head, convex=[{"block": "f", "class": "affine",
+                                     "c": [1.0, 1.0], "d": -1.0}])
+        linear = dict(head, rows=[{"label": "f", "a": [1.0, 1.0], "b": 1.0}])
+        paths = tmp_path / f"convex_{norm}.json", tmp_path / f"linear_{norm}.json"
+        for path, doc in zip(paths, (convex, linear)):
+            path.write_text(json.dumps(doc))
+        return map(str, paths)
+
+    @staticmethod
+    def _value(argv, capsys, stdin_text=None):
+        code, out = run(argv, stdin_text=stdin_text, capsys=capsys)
+        assert code == 0
+        return float(last_line(out).split()[0].split("=")[1])
+
+    @pytest.mark.parametrize("norm", ["euclid", "l1", "linf"])
+    @pytest.mark.parametrize("verb,anchor", [("dist", "2,2"), ("lip", "0.5,0.5")])
+    def test_convex_matches_its_linear_form(self, tmp_path, norm, verb, anchor, capsys):
+        convex, linear = self._docs(tmp_path, norm)
+        got = self._value([verb, "--system", convex, f"--anchor={anchor}"], capsys)
+        want = self._value([verb, "--system", linear, f"--anchor={anchor}"], capsys)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("norm", ["euclid", "l1", "linf"])
+    def test_linearize_then_lip_matches_lip(self, tmp_path, norm, capsys):
+        convex, _ = self._docs(tmp_path, norm)
+        code, lin = run(["linearize", "--system", convex, "--anchor=0.5,0.5"],
+                        capsys=capsys)
+        assert code == 0
+        piped = self._value(["lip", "--anchor=0.5,0.5"], capsys, stdin_text=lin)
+        assert piped == self._value(["lip", "--system", convex, "--anchor=0.5,0.5"], capsys)
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 

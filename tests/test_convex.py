@@ -484,7 +484,7 @@ class TestConvexRoutesAgainstOracle:
         u = rng.normal(size=anchor.shape[0])
         x = anchor + 1.5 * u / np.linalg.norm(u)
         p = rng.uniform(0.0, 0.2, size=len(fs))
-        got = _outcome(distance_convex, fs, p, x, CutConfig(), norm)
+        got = _outcome(distance_convex, fs, p, x, norm)
         want = _outcome(_oracle_distance_convex, fs, p, x, norm)
         assert _same_bytes(got, want)
 
