@@ -128,21 +128,15 @@ def _cmd_dist(args):
 
 
 def _cmd_lip(args):
-    doc, model, _, labels, anchor = _load(args)
+    doc, model, _, _, anchor = _load(args)
     notes = _doc_notes(doc)
     if doc.is_convex:
-        cfg = CutConfig(seed=args.seed, budget=args.budget)
-        rep = lip_bound_convex(model, anchor, cfg, NormSpec(doc.norm),
-                               block_labels=list(labels))
-        rows = [(rep.bound, rep.regime, " -> ".join(fmt(h) for h in rep.history),
-                 "; ".join(notes + rep.notes))]
-        human = [f"regime: {rep.regime}",
-                 "refinement history: " + " -> ".join(fmt(h) for h in rep.history)]
-        verdict = (f"lip={fmt(rep.bound)} regime={rep.regime} "
-                   f"converged={fmt(rep.converged)}")
-        code = 0 if rep.converged or not np.isfinite(rep.bound) else 3
-        _emit(args, ["bound", "regime", "history", "note"], rows, human, verdict)
-        return code
+        rep = lip_bound_convex(model, anchor, NormSpec(doc.norm), args.tol)
+        history = " -> ".join(fmt(h) for h in rep.history)
+        rows = [(rep.bound, rep.regime, history, "; ".join(notes))]
+        human = [f"regime: {rep.regime}", f"history: {history}"]
+        verdict = f"lip={fmt(rep.bound)} regime={rep.regime} converged=true"
+        return _emit(args, ["bound", "regime", "history", "note"], rows, human, verdict)
     rep = lip_bound(model, anchor, args.tol)
     support = ""
     if rep.slice_weights is not None:
@@ -275,7 +269,8 @@ def _add_common(sub, anchor=True):
     if anchor:
         sub.add_argument("--anchor", default=None, help='nominal point "x1,...,xn"')
     sub.add_argument("--out", default=None, help="CSV report path")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=int, default=0,
+                     help="read by estimate, compare-partitions and linearize only")
     sub.add_argument("--tol", type=float, default=1e-9,
                      help="relative to each row's norm in the strong Slater check; "
                           "absolute for anchor feasibility and active rows")
@@ -306,7 +301,6 @@ def build_parser():
 
     p = subs.add_parser("lip", help="exact Lipschitzian bound at the anchor")
     _add_common(p)
-    p.add_argument("--budget", type=int, default=64, help="convex cut budget")
     p.set_defaults(func=_cmd_lip, kinds=("linear", "convex"))
 
     p = subs.add_parser("codnorm", help="coderivative norm (cross-checked)")
@@ -320,7 +314,7 @@ def build_parser():
 
     p = subs.add_parser("linearize", help="conjugate-cut linearization document")
     _add_common(p)
-    p.add_argument("--budget", type=int, default=64)
+    p.add_argument("--budget", type=int, default=64, help="sampled cuts per function")
     p.set_defaults(func=_cmd_linearize, kinds=("convex",))
 
     p = subs.add_parser("estimate", help="empirical quotient estimate")

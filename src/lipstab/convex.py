@@ -2,15 +2,16 @@
 
 Each supported function class is full-domain with a closed-form (or
 LP-computable) Fenchel-Legendre conjugate, so every subgradient cut
-(u, f*(u)) generated at a sample point lies exactly on the conjugate graph
-by Fenchel-Young equality.  The linearized rows <u, x> <= f*(u) + p_j form
+(u, f*(u)) generated at a point lies exactly on the conjugate graph by
+Fenchel-Young equality.  The linearized rows <u, x> <= f*(u) + p_j form
 one block per convex inequality, which is where block perturbations come
 from: one right-hand-side scalar moves a whole block at once.
 
-A linearization grows in rounds, each appending its new cuts after the rows
-already held.  A new cut is dropped when its u lies within 1e-12 in max-norm
-of a cut kept earlier in its round and block, or else of a cut the block
-held before the round; so the first cut is kept.
+The exact bound (`lip_bound_convex`) takes one cut per vertex of each
+active function's subdifferential at the anchor and samples nothing.  The
+`linearize` verb samples cuts around the anchor instead; a sampled cut is
+dropped when its u lies within 1e-12 in max-norm of a cut kept earlier in
+its block, so the first is kept.
 """
 from __future__ import annotations
 
@@ -23,10 +24,11 @@ from .model import BlockPartition, LinearSystem
 from .norms import NormSpec, norm_value
 from .solvers.projection import project_polyhedron
 from .solvers.simplex import lp_solve_nonneg
-from .stability import REGIME_SSC_FAILS, LipReport, _anchor_vector, lip_bound
+from .stability import REGIME_SLATER, _anchor_vector, lip_bound
 from .streams import streams
 
 FY_TOL = 1e-9
+_MAX_KINK_COORDS = 16  # an l1 kink's subdifferential has 2^k vertices; k is capped here
 _NEAR_ENTRIES = 2**20  # differences held at once by the duplicate test (8 MB)
 
 
@@ -50,6 +52,9 @@ class AffineFn:
 
     def subgradient(self, x):
         return self.c.copy()
+
+    def subdifferential(self, x, tol):
+        return self.c[None, :].copy()
 
     def conjugate(self, u):
         u = np.asarray(u, dtype=float)
@@ -86,6 +91,9 @@ class QuadraticFn:
     def subgradient(self, x):
         return self.Q @ np.asarray(x, dtype=float) + self.c
 
+    def subdifferential(self, x, tol):
+        return self.subgradient(x)[None, :]
+
     def conjugate(self, u):
         w = np.linalg.solve(self.Q, np.asarray(u, dtype=float) - self.c)
         return float(0.5 * w @ (np.asarray(u, dtype=float) - self.c) - self.r)
@@ -114,8 +122,12 @@ class MaxAffineFn:
         return float((self.pieces_c @ np.asarray(x, dtype=float) + self.pieces_d).max())
 
     def subgradient(self, x):
+        return self.subdifferential(x, 0.0)[0]
+
+    def subdifferential(self, x, tol):
+        """The pieces within tol of the max at x, in piece order, repeats kept."""
         vals = self.pieces_c @ np.asarray(x, dtype=float) + self.pieces_d
-        return self.pieces_c[int(np.argmax(vals))].copy()
+        return self.pieces_c[vals >= vals.max() - tol]
 
     def conjugate(self, u):
         # min -theta.d  s.t. theta in simplex, sum theta_i c_i = u
@@ -167,6 +179,35 @@ class ScaledNormFn:
         g[k] = self.kappa * np.sign(z[k])
         return g
 
+    def subdifferential(self, x, tol):
+        """Vertices of the subdifferential at x, z = x - shift, one per row.
+
+        Values within tol tie: an l1 coordinate with 2 kappa |z_k| <= tol
+        takes both signs, and every linf coordinate within tol of the max
+        gives its signed unit vector.  At kappa ||z|| <= tol the dual ball,
+        which holds 0, is stood for by the vertex 0, so SSC fails there.
+        """
+        z = np.asarray(x, dtype=float) - self.shift
+        if self.kappa * norm_value(self.kind, z) <= tol:
+            return np.zeros((1, z.shape[0]))
+        if self.kind == "euclid":
+            return (self.kappa * z / np.linalg.norm(z))[None, :]
+        if self.kind == "l1":
+            free = np.flatnonzero(2.0 * self.kappa * np.abs(z) <= tol)
+            if len(free) > _MAX_KINK_COORDS:
+                raise NonConvergentError(
+                    f"l1 kink has 2^{len(free)} subgradient vertices, "
+                    f"over the cap of 2^{_MAX_KINK_COORDS}")
+            U = np.tile(self.kappa * np.sign(z), (2 ** len(free), 1))
+            bits = (np.arange(2 ** len(free))[:, None] >> np.arange(len(free))) & 1
+            U[:, free] = self.kappa * (1.0 - 2.0 * bits)
+            return U
+        a = np.abs(z)
+        tied = np.flatnonzero(self.kappa * (a.max() - a) <= tol)
+        U = np.zeros((len(tied), z.shape[0]))
+        U[np.arange(len(tied)), tied] = self.kappa * np.sign(z[tied])
+        return U
+
     def conjugate(self, u):
         u = np.asarray(u, dtype=float)
         if norm_value(NormSpec(self.kind).dual().kind, u) > self.kappa + 1e-12:
@@ -191,17 +232,12 @@ class CutConfig:
     budget: int = 64
     radii: tuple = (1.0, 0.5, 0.25, 0.1, 0.05, 0.02, 0.01, 3e-3, 1e-3)
     seed: int = 0
-    refine_rounds: int = 8
-    refine_budget: int = 16
-    rel_tol: float = 1e-4
 
 
 @dataclass(frozen=True)
 class LinearizedSystem:
     system: LinearSystem
     partition: BlockPartition
-    block: np.ndarray       # function index of each row
-    provenance: np.ndarray  # sample point of each row's cut
 
 
 @dataclass(frozen=True)
@@ -209,52 +245,39 @@ class ConvexLipReport:
     bound: float
     regime: str
     history: tuple
-    converged: bool
-    linearization: LinearizedSystem | None
-    slice_weights: np.ndarray | None = None
-    notes: tuple = ()
 
 
-def _cut_points(anchor, cfg: CutConfig, block_idx: int, dimension: int, budget: int,
-                round_idx: int = 0, centers=None) -> np.ndarray:
+def _cut_points(anchor, cfg: CutConfig, block_idx: int, dimension: int,
+                budget: int) -> np.ndarray:
     """Deterministic sample points, one per row: the anchor, then radius-ladder rings."""
     anchor = np.asarray(anchor, dtype=float)
-    centers = anchor[None, :] if centers is None else np.asarray(centers, dtype=float)
     radii = np.asarray(cfg.radii, dtype=float)
     pts, count, i = [anchor[None, :]], 1, 0
     while count < budget + 1:
         stop = i + budget + 1 - count
-        # point i draws from the stream default_rng((seed, round, block, i))
+        # point i draws from the stream default_rng((seed, 0, block, i))
         D = np.array([rng.normal(size=dimension)
-                      for rng in streams((cfg.seed, round_idx, block_idx), range(i, stop))])
+                      for rng in streams((cfg.seed, 0, block_idx), range(i, stop))])
         # row-wise dot products: np.linalg.norm's own sum on every row
         nrm = np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])
         ok = nrm > 1e-12
         idx = np.arange(i, stop)[ok]
-        pts.append(centers[idx % len(centers)]
-                   + radii[idx % len(radii)][:, None] * D[ok] / nrm[ok, None])
+        pts.append(anchor + radii[idx % len(radii)][:, None] * D[ok] / nrm[ok, None])
         count, i = count + len(idx), stop
     return np.concatenate(pts)
 
 
-def _kept(U, held) -> np.ndarray:
-    """Mask of the new cuts U (rows, in sample order) that pass both duplicate tests.
-
-    The test against held runs apart from, and after, the one within U:
-    nearness is not transitive, so a cut dropped for a held neighbour still
-    drops the later cuts near it.
-    """
-    def near(P, Q):
-        return np.abs(P[:, None, :] - Q[None, :, :]).max(axis=2, initial=0.0) <= 1e-12
-
-    step = max(1, _NEAR_ENTRIES // ((len(U) + len(held)) * U.shape[1]))
-    first, fresh = np.ones(len(U), dtype=bool), np.ones(len(U), dtype=bool)
+def _kept(U) -> np.ndarray:
+    """Mask of the cuts U (rows, in sample order) not within 1e-12 of a kept earlier one."""
+    step = max(1, _NEAR_ENTRIES // (len(U) * U.shape[1]))
+    first = np.ones(len(U), dtype=bool)
     for lo in range(0, len(U), step):
-        earlier = np.tril(near(U[lo:lo + step], U[:lo + step]), lo - 1)
+        near = np.abs(U[lo:lo + step, None, :] - U[None, :lo + step, :]).max(
+            axis=2, initial=0.0) <= 1e-12
+        earlier = np.tril(near, lo - 1)
         for i in lo + np.flatnonzero(earlier.any(axis=1)):
             first[i] = not (earlier[i - lo, :i] & first[:i]).any()
-        fresh[lo:lo + step] = ~near(U[lo:lo + step], held).any(axis=1)
-    return first & fresh
+    return first
 
 
 def linearize(fs, cfg: CutConfig, anchor, norm: NormSpec = NormSpec(),
@@ -264,90 +287,60 @@ def linearize(fs, cfg: CutConfig, anchor, norm: NormSpec = NormSpec(),
     Every cut is exact on the conjugate graph: f*(u) is evaluated through
     Fenchel-Young equality at the sample point, never numerically
     conjugated.  A cut within 1e-12 in max-norm of one kept earlier in its
-    block and round is dropped, so the first is kept (refinement rounds then
-    test against the cuts the block held before the round).  Rows run block
-    by block, then by sample index i (the anchor is 0), labelled
-    (j=<block>, sample 0.<i>).  Blocks are per function, so right-hand-side
-    perturbations of the convex system are block perturbations of the
-    linearization.
+    block is dropped, so the first is kept.  Rows run block by block, then
+    by sample index i (the anchor is 0), labelled (j=<block>, sample 0.<i>).
+    Blocks are per function, so right-hand-side perturbations of the convex
+    system are block perturbations of the linearization.
     """
     anchor = _anchor_vector(anchor, fs[0].dimension)
-    block_labels = map(str, range(len(fs))) if block_labels is None else block_labels
-    n = anchor.shape[0]
-    empty = LinearizedSystem(LinearSystem(n, (), norm),
-                             BlockPartition(tuple((j, ()) for j, _ in zip(block_labels, fs))),
-                             np.zeros(0, dtype=int), np.zeros((0, n)))
-    return _extend(empty, fs, cfg, anchor, 0, cfg.budget, [None] * len(fs))
-
-
-def _extend(lin: LinearizedSystem, fs, cfg: CutConfig, anchor, round_idx: int, budget: int,
-            centers_per_block) -> LinearizedSystem:
-    """lin with the round's kept cuts appended, labelled (j=<block>, sample <round>.<i>)."""
-    names, held = lin.partition.block_labels, lin.system.coefficient_matrix()
-    members = [list(m) for _, m in lin.partition.blocks]
-    rows, block, prov = list(lin.system.rows), [lin.block], [lin.provenance]
+    names = list(map(str, range(len(fs))) if block_labels is None else block_labels)
+    rows, members = [], []
     for j, f in enumerate(fs):
-        pts = _cut_points(anchor, cfg, j, f.dimension, budget, round_idx, centers_per_block[j])
+        pts = _cut_points(anchor, cfg, j, f.dimension, cfg.budget)
         cuts = [eval_sub(f, x) for x in pts]
-        keep = np.flatnonzero(_kept(np.array([u for _, u in cuts]), held[lin.block == j]))
-        for i in keep:
-            val, u = cuts[i]
-            members[j].append(f"(j={names[j]}, sample {round_idx}.{i})")
-            rows.append((members[j][-1], u, float(u @ pts[i] - val)))
-        block.append(np.full(len(keep), j))
-        prov.append(pts[keep])
-    return LinearizedSystem(LinearSystem(lin.system.dimension, tuple(rows), lin.system.norm),
-                            BlockPartition(tuple(zip(names, map(tuple, members)))),
-                            np.concatenate(block), np.concatenate(prov))
+        keep = np.flatnonzero(_kept(np.array([u for _, u in cuts])))
+        labels = [f"(j={names[j]}, sample 0.{i})" for i in keep]
+        rows += [(label, cuts[i][1], float(cuts[i][1] @ pts[i] - cuts[i][0]))
+                 for label, i in zip(labels, keep)]
+        members.append((names[j], tuple(labels)))
+    return LinearizedSystem(LinearSystem(anchor.shape[0], tuple(rows), norm),
+                            BlockPartition(tuple(members)))
 
 
-def lip_bound_convex(fs, anchor, cfg: CutConfig = CutConfig(),
-                     norm: NormSpec = NormSpec(), tol: float = FY_TOL,
-                     block_labels=None) -> ConvexLipReport:
-    """Exact-bound estimate for the convex system via conjugate linearization.
+def lip_bound_convex(fs, anchor, norm: NormSpec = NormSpec(),
+                     tol: float = FY_TOL) -> ConvexLipReport:
+    """Exact Lipschitzian bound of the convex system at a feasible anchor.
 
-    The sampled hull sits inside the true hull of the conjugate graphs, so
-    the reported bound is a lower estimate of the true bound and is
-    nondecreasing under refinement (sample sets are nested for a fixed
-    seed).  Refinement targets the supporting face of the current slice
-    minimizer and stops once two successive bounds agree to cfg.rel_tol
-    relative; stalling at the budget is flagged, not hidden.
+    By Fenchel-Young, <u, anchor> - f_j*(u) <= f_j(anchor) <= 0, with
+    equality exactly on the subdifferential of an active f_j, so the slice
+    of the characteristic set of the conjugate graphs is the hull of the
+    active subdifferentials.  Each active f_j (f_j(anchor) >= -tol) gives a
+    row <u, x> <= <u, anchor> - f_j(anchor) = f_j*(u) per vertex u, and the
+    bound is `lip_bound` of those rows (history = (bound,)); no active
+    function gives SlaterPoint with bound 0.  Closure adds no slice point:
+    the conjugate domains of affine, max_affine and scaled_norm are compact,
+    so their graphs' hull is closed, and a quadratic's f* grows
+    quadratically, so on the slice every lambda u with lambda -> 0 goes to 0.
     """
     anchor = _anchor_vector(anchor, fs[0].dimension)
-    for j, f in enumerate(fs):
-        v = f.value(anchor)
+    values = [f.value(anchor) for f in fs]
+    for j, v in enumerate(values):
         if v > tol:
             raise InfeasibleAnchorError(
                 f"anchor violates convex inequality {j} by {v:g}")
-    lin = linearize(fs, cfg, anchor, norm, block_labels)
-    report = lip_bound(lin.system, anchor, tol)
-    history = [report.bound]
-    if report.regime == REGIME_SSC_FAILS:
-        return ConvexLipReport(np.inf, REGIME_SSC_FAILS, tuple(history), True, lin)
-    converged = cfg.refine_rounds < 1  # no refinement requested
-    for round_idx in range(1, cfg.refine_rounds + 1):
-        lin = _extend(lin, fs, cfg, anchor, round_idx, cfg.refine_budget,
-                      _refine_centers(lin, report, anchor))
-        report = lip_bound(lin.system, anchor, tol)
-        history.append(report.bound)
-        if report.regime == REGIME_SSC_FAILS:
-            return ConvexLipReport(np.inf, REGIME_SSC_FAILS, tuple(history), True, lin)
-        prev, cur = history[-2], history[-1]
-        if np.isfinite(cur) and abs(cur - prev) < cfg.rel_tol * max(1.0, abs(cur)):
-            converged = True
-            break
-    notes = () if converged else (
-        f"refinement stalled at budget; last gap {abs(history[-1] - history[-2]):.3g}",)
-    return ConvexLipReport(report.bound, report.regime, tuple(history), converged,
-                           lin, report.slice_weights, notes)
-
-
-def _refine_centers(lin: LinearizedSystem, report: LipReport, anchor):
-    """Per block, the anchor, then the sample points of its cuts with slice weight above 1e-10."""
-    w = report.slice_weights
-    hot = np.zeros(len(lin.block), dtype=bool) if w is None else w > 1e-10
-    return [np.concatenate([anchor[None, :], lin.provenance[hot & (lin.block == j)]])
-            for j in range(len(lin.partition.blocks))]
+    rows = []
+    for j, (f, v) in enumerate(zip(fs, values)):
+        if v < -tol:
+            continue
+        try:
+            U = f.subdifferential(anchor, tol)
+        except NonConvergentError as exc:
+            raise NonConvergentError(f"convex inequality {j}: {exc}") from exc
+        rows += [(f"(j={j}, vertex {k})", u, float(u @ anchor - v)) for k, u in enumerate(U)]
+    if not rows:
+        return ConvexLipReport(0.0, REGIME_SLATER, (0.0,))
+    rep = lip_bound(LinearSystem(anchor.shape[0], tuple(rows), norm), anchor, tol)
+    return ConvexLipReport(rep.bound, rep.regime, (rep.bound,))
 
 
 def distance_convex(fs, p, x, norm: NormSpec = NormSpec(), tol: float = 1e-8) -> float:

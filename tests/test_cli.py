@@ -124,6 +124,39 @@ class TestVerdictLines:
         assert last_line(out).startswith("lip=inf regime=SSCFails")
 
 
+class TestConvexLip:
+    @pytest.fixture
+    def shifted(self, tmp_path, capsys):
+        path = tmp_path / "sq.json"
+        code, _ = run(["demo", "convex-square-shifted", "--out", str(path)], capsys=capsys)
+        assert code == 0
+        return str(path)
+
+    def test_tol_reaches_the_anchor_check(self, shifted, capsys):
+        argv = ["lip", "--system", shifted, "--anchor=1.0000001"]
+        code, _ = run(argv, capsys=capsys)
+        assert code == 2
+        code, out = run(argv + ["--tol", "1e-3"], capsys=capsys)
+        assert code == 0
+        assert last_line(out) == "lip=0.49999995000000497 regime=Regular converged=true"
+
+    def test_history_holds_the_one_exact_value(self, shifted, tmp_path, capsys):
+        out_csv = tmp_path / "lip.csv"
+        code, out = run(["lip", "--system", shifted, "--anchor=1", "--out", str(out_csv)],
+                        capsys=capsys)
+        assert code == 0
+        assert out.splitlines() == ["regime: Regular", "history: 0.5",
+                                    "lip=0.5 regime=Regular converged=true"]
+        assert out_csv.read_text().splitlines() == ["bound,regime,history,note",
+                                                    "0.5,Regular,0.5,"]
+
+    def test_lip_takes_no_budget(self, shifted, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["lip", "--system", shifted, "--anchor=1", "--budget", "8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --budget 8" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_unknown_field_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

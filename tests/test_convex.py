@@ -1,3 +1,4 @@
+import json
 from collections import namedtuple
 
 import numpy as np
@@ -11,18 +12,18 @@ from lipstab.convex import (
     QuadraticFn,
     ScaledNormFn,
     _cut_points,
-    _extend,
     conjugate_value,
     distance_convex,
     eval_sub,
     linearize,
     lip_bound_convex,
 )
+from lipstab.cli import run_cli
 from lipstab.errors import InfeasibleAnchorError, InfeasibleRegionError, NonConvergentError
 from lipstab.model import BlockPartition, LinearSystem
 from lipstab.norms import NormSpec, norm_value
 from lipstab.solvers.projection import project_polyhedron
-from lipstab.stability import REGIME_SSC_FAILS, lip_bound
+from lipstab.stability import lip_bound
 
 SQUARE = QuadraticFn([[2.0]], [0.0], 0.0)          # x^2
 SQUARE_SHIFTED = QuadraticFn([[2.0]], [0.0], -1.0)  # x^2 - 1
@@ -127,16 +128,15 @@ class TestLinearize:
                     assert u[0] * y - fstar <= f.value([y]) + 1e-9
 
     def test_cut_points_are_the_per_point_streams(self):
-        # point i of block j in round r is drawn by default_rng((seed, r, j, i))
+        # point i of block j is drawn by default_rng((seed, 0, j, i))
         cfg = CutConfig(seed=2**32 + 1)
         anchor = np.array([0.3, -0.2, 0.1])
-        centers = [anchor, anchor + 1.0]
-        for round_idx, block_idx in ((0, 0), (2, 1)):
+        for block_idx in (0, 1):
             ref = [anchor]
             for i in range(40):
-                d = np.random.default_rng((cfg.seed, round_idx, block_idx, i)).normal(size=3)
-                ref.append(centers[i % 2] + cfg.radii[i % len(cfg.radii)] * d / np.linalg.norm(d))
-            pts = _cut_points(anchor, cfg, block_idx, 3, 40, round_idx, centers)
+                d = np.random.default_rng((cfg.seed, 0, block_idx, i)).normal(size=3)
+                ref.append(anchor + cfg.radii[i % len(cfg.radii)] * d / np.linalg.norm(d))
+            pts = _cut_points(anchor, cfg, block_idx, 3, 40)
             assert np.array_equal(pts, ref)
 
     def test_anchor_cut_always_tight(self, rng):
@@ -173,12 +173,14 @@ class TestLipBoundConvex:
             lip_bound_convex([SQUARE_SHIFTED], [2.0])
 
     def test_budget_monotone_with_nested_samples(self):
+        # the sampled route: a larger budget draws a superset of the cut points
         bounds = []
         for budget in (4, 8, 16, 32):
-            cfg = CutConfig(budget=budget, seed=9, refine_rounds=0)
-            bounds.append(lip_bound_convex([SQUARE_SHIFTED], [1.0], cfg).bound)
+            lin = linearize([SQUARE_SHIFTED], CutConfig(budget=budget, seed=9), [1.0])
+            bounds.append(lip_bound(lin.system, [1.0]).bound)
         for small, large in zip(bounds, bounds[1:]):
             assert large >= small - 1e-12
+        assert bounds[-1] <= lip_bound_convex([SQUARE_SHIFTED], [1.0]).bound + 1e-12
 
 
 class TestDistanceConvex:
@@ -206,38 +208,32 @@ class TestDistanceConvex:
 
 # Frozen oracle: the cut pipeline as it stood before the cuts were kept as
 # arrays.  Each new cut is tested in Python against every cut kept so far in
-# its round and block, a refinement round is merged by a second such scan
-# against the block's older cuts, and the Kelley loop re-stacks Python lists.
-# The array code must reproduce it bit for bit.
+# its block, and the Kelley loop re-stacks Python lists.  The array code must
+# reproduce it bit for bit.
 
-_OracleLin = namedtuple("_OracleLin", "system partition samples")  # sample: (block, u, f*, x)
+_OracleLin = namedtuple("_OracleLin", "system partition")
 
 
-def _oracle_cut_points(anchor, cfg, block_idx, dimension, budget, round_idx=0, centers=None):
+def _oracle_cut_points(anchor, cfg, block_idx, dimension, budget):
     pts = [np.asarray(anchor, dtype=float)]
-    if centers is None:
-        centers = [np.asarray(anchor, dtype=float)]
     i = 0
     while len(pts) < budget + 1:
         for i in range(i, i + budget + 1 - len(pts)):
-            d = np.random.default_rng((cfg.seed, round_idx, block_idx, i)).normal(size=dimension)
+            d = np.random.default_rng((cfg.seed, 0, block_idx, i)).normal(size=dimension)
             nrm = np.linalg.norm(d)
             if nrm > 1e-12:
-                pts.append(centers[i % len(centers)] + cfg.radii[i % len(cfg.radii)] * d / nrm)
+                pts.append(pts[0] + cfg.radii[i % len(cfg.radii)] * d / nrm)
         i += 1
     return pts
 
 
-def _oracle_linearize(fs, cfg, anchor, norm=NormSpec(), block_labels=None, round_idx=0,
-                      centers_per_block=None, extra_budget=None):
+def _oracle_linearize(fs, cfg, anchor, norm=NormSpec(), block_labels=None):
     anchor = np.asarray(anchor, dtype=float)
     if block_labels is None:
         block_labels = [str(j) for j in range(len(fs))]
-    rows, blocks, samples = [], [], []
-    budget = extra_budget if extra_budget is not None else cfg.budget
+    rows, blocks = [], []
     for j, f in enumerate(fs):
-        centers = None if centers_per_block is None else centers_per_block[j]
-        pts = _oracle_cut_points(anchor, cfg, j, f.dimension, budget, round_idx, centers)
+        pts = _oracle_cut_points(anchor, cfg, j, f.dimension, cfg.budget)
         seen, members = [], []
         for i, xs in enumerate(pts):
             val, u = eval_sub(f, xs)
@@ -245,62 +241,12 @@ def _oracle_linearize(fs, cfg, anchor, norm=NormSpec(), block_labels=None, round
                 continue
             seen.append(u)
             fstar = float(u @ xs - val)
-            label = f"(j={block_labels[j]}, sample {round_idx}.{i})"
+            label = f"(j={block_labels[j]}, sample 0.{i})"
             rows.append((label, u, fstar))
             members.append(label)
-            samples.append((block_labels[j], u, fstar, xs))
         blocks.append((block_labels[j], tuple(members)))
     system = LinearSystem(anchor.shape[0], tuple(rows), norm)
-    return _OracleLin(system, BlockPartition(tuple(blocks)), tuple(samples))
-
-
-def _oracle_merge(lin, extra):
-    rows, samples = list(lin.system.rows), list(lin.samples)
-    blocks = {j: list(members) for j, members in lin.partition.blocks}
-    existing = {j: [r[1] for r in lin.system.rows if r[0] in set(members)]
-                for j, members in lin.partition.blocks}
-    for (label, u, fstar), sample in zip(extra.system.rows, extra.samples):
-        us = existing.setdefault(sample[0], [])
-        if any(np.abs(u - prev).max(initial=0.0) <= 1e-12 for prev in us):
-            continue
-        us.append(u)
-        rows.append((label, u, fstar))
-        samples.append(sample)
-        blocks[sample[0]].append(label)
-    return _OracleLin(LinearSystem(lin.system.dimension, tuple(rows), lin.system.norm),
-                      BlockPartition(tuple((j, tuple(m)) for j, m in blocks.items())),
-                      tuple(samples))
-
-
-def _oracle_lip_bound_convex(fs, anchor, cfg=CutConfig(), norm=NormSpec(), tol=1e-9):
-    anchor = np.asarray(anchor, dtype=float)
-    lin = _oracle_linearize(fs, cfg, anchor, norm)
-    report = lip_bound(lin.system, anchor, tol)
-    history = [report.bound]
-    if report.regime == REGIME_SSC_FAILS:
-        return np.inf, REGIME_SSC_FAILS, tuple(history), True, lin, None
-    converged = False
-    for round_idx in range(1, cfg.refine_rounds + 1):
-        by_block = {j: [anchor] for j, _ in lin.partition.blocks}
-        if report.slice_weights is not None:
-            for w, sample in zip(report.slice_weights, lin.samples):
-                if w > 1e-10:
-                    by_block[sample[0]].append(sample[3])
-        centers = [by_block[j] for j, _ in lin.partition.blocks]
-        extra = _oracle_linearize(fs, cfg, anchor, norm, round_idx=round_idx,
-                                  centers_per_block=centers, extra_budget=cfg.refine_budget)
-        lin = _oracle_merge(lin, extra)
-        report = lip_bound(lin.system, anchor, tol)
-        history.append(report.bound)
-        if report.regime == REGIME_SSC_FAILS:
-            return np.inf, REGIME_SSC_FAILS, tuple(history), True, lin, None
-        prev, cur = history[-2], history[-1]
-        if np.isfinite(cur) and abs(cur - prev) < cfg.rel_tol * max(1.0, abs(cur)):
-            converged = True
-            break
-    if len(history) < 2:
-        converged = True
-    return report.bound, report.regime, tuple(history), converged, lin, report.slice_weights
+    return _OracleLin(system, BlockPartition(tuple(blocks)))
 
 
 def _oracle_distance_convex(fs, p, x, norm=NormSpec(), tol=1e-8):
@@ -333,15 +279,11 @@ def _same_bytes(a, b):
 
 
 def _assert_same_linearization(lin, oracle):
-    """Labels and their order, u and f* bytes, partition, blocks and sample points."""
+    """Labels and their order, u and f* bytes, and the partition."""
     assert lin.system.labels == oracle.system.labels
     assert _same_bytes(lin.system.coefficient_matrix(), oracle.system.coefficient_matrix())
     assert _same_bytes(lin.system.rhs_vector(), oracle.system.rhs_vector())
     assert lin.partition.blocks == oracle.partition.blocks
-    names = [j for j, _ in oracle.partition.blocks]
-    assert lin.block.tolist() == [names.index(s[0]) for s in oracle.samples]
-    n = lin.system.dimension
-    assert _same_bytes(lin.provenance, np.reshape([s[3] for s in oracle.samples], (-1, n)))
 
 
 class _Scripted:
@@ -359,21 +301,11 @@ class _Scripted:
         return np.array(next(self._us), dtype=float)
 
 
-def _scripted_rounds(scripts, budget, refine_budget, rounds, oracle):
-    """Round 0 at budget, then rounds - 1 refinement rounds of refine_budget, centered on the anchor."""
-    fs = [_Scripted(s) for s in scripts]
-    cfg = CutConfig(budget=budget, seed=5)
-    anchor = np.array([0.25, -0.5])
-    if oracle:
-        lin = _oracle_linearize(fs, cfg, anchor)
-        for r in range(1, rounds):
-            lin = _oracle_merge(lin, _oracle_linearize(fs, cfg, anchor, round_idx=r,
-                                                       extra_budget=refine_budget))
-        return lin
-    lin = linearize(fs, cfg, anchor)
-    for r in range(1, rounds):
-        lin = _extend(lin, fs, cfg, anchor, r, refine_budget, [None] * len(fs))
-    return lin
+def _scripted_linearization(scripts, budget, oracle):
+    """One linearization at budget, centered on the anchor, by the array code or the oracle."""
+    fs = [_Scripted(sc) for sc in scripts]
+    build = _oracle_linearize if oracle else linearize
+    return build(fs, CutConfig(budget=budget, seed=5), np.array([0.25, -0.5]))
 
 
 _JUST_ABOVE = float(np.nextafter(1e-12, 1.0))
@@ -390,34 +322,30 @@ class TestDuplicateRuleAgainstOracle:
     @given(st.data())
     def test_kept_cuts_match_the_frozen_oracle(self, data):
         n_blocks = data.draw(st.integers(1, 3), label="blocks")
-        rounds = data.draw(st.integers(1, 4), label="rounds")
-        budget = data.draw(st.integers(0, 6), label="budget")
-        refine_budget = data.draw(st.integers(0, 5), label="refine_budget")
-        calls = budget + 1 + (rounds - 1) * (refine_budget + 1)
-        scripts = [data.draw(st.lists(_U, min_size=calls, max_size=calls), label=f"block {j}")
+        budget = data.draw(st.integers(0, 20), label="budget")
+        scripts = [data.draw(st.lists(_U, min_size=budget + 1, max_size=budget + 1),
+                             label=f"block {j}")
                    for j in range(n_blocks)]
-        args = (scripts, budget, refine_budget, rounds)
-        _assert_same_linearization(_scripted_rounds(*args, oracle=False),
-                                   _scripted_rounds(*args, oracle=True))
+        _assert_same_linearization(_scripted_linearization(scripts, budget, oracle=False),
+                                   _scripted_linearization(scripts, budget, oracle=True))
 
-    def test_nontransitive_chain_drops_both(self):
-        # a is within 1e-12 of the older e, b within 1e-12 of a but not of e:
-        # both go, because b is tested against a before a meets e
+    def test_nontransitive_chain_keeps_the_far_end(self):
+        # a is within 1e-12 of the kept e and goes; b is within 1e-12 of a but
+        # not of e, and only kept cuts drop later ones, so b stays
         e, a, b = [0.0, 0.0], [1e-12, 0.0], [2e-12, 0.0]
         assert np.abs(np.subtract(b, a)).max() <= 1e-12 < np.abs(np.subtract(b, e)).max()
         scripts = [[e, [1.0, 1.0], a, b, [2.0, 1.0]]]
-        lin = _scripted_rounds(scripts, 1, 2, 2, oracle=False)
+        lin = _scripted_linearization(scripts, 4, oracle=False)
         assert lin.system.labels == ("(j=0, sample 0.0)", "(j=0, sample 0.1)",
-                                     "(j=0, sample 1.2)")
-        _assert_same_linearization(lin, _scripted_rounds(scripts, 1, 2, 2, oracle=True))
+                                     "(j=0, sample 0.3)", "(j=0, sample 0.4)")
+        _assert_same_linearization(lin, _scripted_linearization(scripts, 4, oracle=True))
 
 
-def _pin_systems():
-    """Seeded (functions, anchor, norm) of every class, most active at the anchor.
+def _pin_draws():
+    """Seeded functions of every class with their anchor, most active there.
 
     The max_affine and the l1 and linf scaled norms have a kink at the
-    anchor, so cuts sampled away from it support the slice minimizer and
-    steer the refinement.
+    anchor, so the exact route needs every vertex of their subdifferentials.
     """
     rng = np.random.default_rng(20260415)
     out = []
@@ -438,9 +366,19 @@ def _pin_systems():
         norms = [ScaledNormFn(k, anchor - zk, -k * norm_value(kind, zk), kind)
                  for k, zk, kind in zip(rng.uniform(0.5, 2.0, size=3), z, kinds)]
         affine = AffineFn(c, -float(c @ anchor))
-        fs = [[quad], [maxaff], [norms[0], quad], [norms[1], quad], [norms[2], affine],
-              [affine], [QuadraticFn(Q, c, quad.r - 0.3), maxaff], [norms[1], maxaff]][case]
-        out.append((fs, anchor, NormSpec(kinds[case % 3])))
+        out.append((dict(quad=quad, maxaff=maxaff, norms=norms, affine=affine,
+                         quad_inactive=QuadraticFn(Q, c, quad.r - 0.3)), anchor))
+    return out
+
+
+def _pin_systems():
+    """Seeded (functions, anchor, norm) of every class, most active at the anchor."""
+    out = []
+    for case, (d, anchor) in enumerate(_pin_draws()):
+        fs = [[d["quad"]], [d["maxaff"]], [d["norms"][0], d["quad"]],
+              [d["norms"][1], d["quad"]], [d["norms"][2], d["affine"]], [d["affine"]],
+              [d["quad_inactive"], d["maxaff"]], [d["norms"][1], d["maxaff"]]][case]
+        out.append((fs, anchor, NormSpec(("euclid", "l1", "linf")[case % 3])))
     out.append(([SQUARE], np.zeros(1), NormSpec()))  # the strong Slater condition fails
     return out
 
@@ -453,22 +391,6 @@ def _outcome(fn, *args):
 
 
 class TestConvexRoutesAgainstOracle:
-    @pytest.mark.parametrize("case", range(9))
-    # the default plan; every refinement round run (rel_tol 0); no refinement
-    @pytest.mark.parametrize("plan", [{}, {"budget": 8, "rel_tol": 0.0}, {"refine_rounds": 0}])
-    def test_lip_bound_convex_bit_equal(self, case, plan):
-        fs, anchor, norm = _pin_systems()[case]
-        cfg = CutConfig(seed=case, **plan)
-        rep = lip_bound_convex(fs, anchor, cfg, norm)
-        bound, regime, history, converged, lin, weights = _oracle_lip_bound_convex(
-            fs, anchor, cfg, norm)
-        assert _same_bytes(rep.history, history) and _same_bytes(rep.bound, bound)
-        assert (rep.regime, rep.converged) == (regime, converged)
-        assert (rep.slice_weights is None) == (weights is None)
-        if weights is not None:
-            assert _same_bytes(rep.slice_weights, weights)
-        _assert_same_linearization(rep.linearization, lin)
-
     @pytest.mark.parametrize("case", range(9))
     @pytest.mark.parametrize("budget", [0, 4, 64])
     def test_linearize_bit_equal(self, case, budget):
@@ -491,3 +413,122 @@ class TestConvexRoutesAgainstOracle:
     def test_affine_gives_a_single_cut(self):
         fs, anchor, norm = _pin_systems()[5]
         assert len(linearize(fs, CutConfig(budget=64), anchor, norm).system.rows) == 1
+
+
+def _convex_doc_family(rng):
+    """A quadratic, a max_affine and a Euclidean scaled norm in R^3, and the anchor.
+
+    The quadratic and the top affine piece are tight at the anchor; the
+    scaled norm sits 0.5 below zero there.
+    """
+    n = 3
+    anchor = rng.normal(size=n) * 0.5
+    M = rng.normal(size=(n, n))
+    Q = M @ M.T + np.eye(n)
+    c = rng.normal(size=n)
+    quad = QuadraticFn(Q, c, -(0.5 * anchor @ Q @ anchor + c @ anchor))
+    C = rng.normal(size=(3, n))
+    maxaff = MaxAffineFn(C, np.array([0.0, -0.5, -1.0]) - C @ anchor)
+    kappa, shift = rng.uniform(0.5, 2.0), rng.normal(size=n)
+    norm_fn = ScaledNormFn(kappa, shift, -0.5 - kappa * np.linalg.norm(anchor - shift))
+    return [quad, maxaff, norm_fn], anchor
+
+
+def _assert_sampled_route_agrees(fs, anchor, norm, seed):
+    """The sampled cuts' bound meets the exact one at budget 64 and never passes it below."""
+    exact = lip_bound_convex(fs, anchor, norm)
+    assert exact.history == (exact.bound,)
+    for budget in (4, 8, 16, 32, 64):
+        lin = linearize(fs, CutConfig(budget=budget, seed=seed), anchor, norm)
+        sampled = lip_bound(lin.system, anchor)
+        assert sampled.bound <= exact.bound * (1.0 + 1e-12)
+    assert sampled.regime == exact.regime
+    assert sampled.bound == pytest.approx(exact.bound, rel=1e-12)
+
+
+class TestExactRoute:
+    """lip_bound_convex from the anchor's subgradient vertices, against the sampled route."""
+
+    @pytest.mark.parametrize("case", range(9))
+    def test_sampled_route_agrees_on_pin_systems(self, case):
+        fs, anchor, norm = _pin_systems()[case]
+        _assert_sampled_route_agrees(fs, anchor, norm, case)
+
+    def test_sampled_route_agrees_on_convex_doc_draws(self):
+        for seed in range(40):
+            fs, anchor = _convex_doc_family(np.random.default_rng(seed))
+            _assert_sampled_route_agrees(fs, anchor, NormSpec(), seed)
+
+    @pytest.mark.parametrize("case", range(9))
+    def test_vertices_sit_on_the_conjugate_graph(self, case):
+        # Fenchel-Young equality f*(u) = <u, anchor> - f(anchor), with f*
+        # computed by each class's own conjugate (an LP for max_affine)
+        fs, anchor, _ = _pin_systems()[case]
+        for f in fs:
+            for u in f.subdifferential(anchor, 1e-9):
+                assert conjugate_value(f, u) == pytest.approx(
+                    u @ anchor - f.value(anchor), abs=1e-9)
+
+    def test_l1_box_vertices(self):
+        # |x1| + |x2| - 1 and x2 at (1, 0): cuts (1, 1), (1, -1) and (0, 1),
+        # whose hull is 1/sqrt(5) from the origin; sign(0) alone gives sqrt(2)
+        fs = [ScaledNormFn(1.0, [0.0, 0.0], -1.0, "l1"), AffineFn([0.0, 1.0], 0.0)]
+        assert fs[0].subdifferential([1.0, 0.0], 1e-9).tolist() == [[1.0, 1.0], [1.0, -1.0]]
+        rep = lip_bound_convex(fs, [1.0, 0.0])
+        assert (rep.regime, rep.history) == ("Regular", (rep.bound,))
+        assert rep.bound == pytest.approx(np.sqrt(5.0), rel=1e-12)
+
+    def test_linf_ties(self):
+        # 2 max(|x1|, |x2|, |x3|) - 2 at (1, -1, 0.5): cuts (2, 0, 0) and (0, -2, 0),
+        # whose hull is sqrt(2) from the origin; the first tie alone gives 2
+        f = ScaledNormFn(2.0, [0.0, 0.0, 0.0], -2.0, "linf")
+        anchor = [1.0, -1.0, 0.5]
+        assert f.subdifferential(anchor, 1e-9).tolist() == [[2.0, 0, 0], [0, -2.0, 0]]
+        assert lip_bound_convex([f], anchor).bound == pytest.approx(1 / np.sqrt(2.0), rel=1e-12)
+
+    def test_max_affine_ties_with_repeated_pieces(self):
+        # max(x1, x1, x2, -x1 - x2 - 5) at 0: the pieces x1 (twice) and x2 tie,
+        # whose hull is 1/sqrt(2) from the origin; the first max alone gives 1
+        f = MaxAffineFn([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
+                        [0.0, 0.0, 0.0, -5.0])
+        assert f.subdifferential([0.0, 0.0], 1e-9).tolist() == [[1, 0], [1, 0], [0, 1]]
+        assert lip_bound_convex([f], [0.0, 0.0]).bound == pytest.approx(np.sqrt(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["euclid", "l1", "linf"])
+    def test_scaled_norm_at_its_shift_fails_ssc(self, kind):
+        f = ScaledNormFn(1.5, [0.3, -0.7], 0.0, kind)
+        assert f.subdifferential([0.3, -0.7], 1e-9).tolist() == [[0.0, 0.0]]
+        rep = lip_bound_convex([f], [0.3, -0.7], NormSpec(kind))
+        assert (rep.bound, rep.regime, rep.history) == (np.inf, "SSCFails", (np.inf,))
+
+    def test_no_active_function_is_a_slater_point(self):
+        rep = lip_bound_convex([SQUARE_SHIFTED, AffineFn([1.0], -5.0)], [0.0])
+        assert (rep.bound, rep.regime, rep.history) == (0.0, "SlaterPoint", (0.0,))
+
+    def test_vertex_cap_raises(self):
+        # an l1 kink in k zero coordinates has 2^k vertices: 2^16 are built, 2^17 raise
+        at_cap = ScaledNormFn(1.0, np.zeros(17), -1.0, "l1").subdifferential(np.eye(17)[0], 1e-9)
+        assert len(np.unique(at_cap, axis=0)) == 2**16
+        f = ScaledNormFn(1.0, np.zeros(18), -1.0, "l1")
+        with pytest.raises(NonConvergentError, match="convex inequality 1: .*2\\^17"):
+            lip_bound_convex([AffineFn(np.ones(18), -1.0), f], np.eye(18)[0])
+
+    def test_tied_pieces_with_a_quadratic_fail_ssc_through_the_cli(self, tmp_path, capsys):
+        # the draw of pin case 3 with the functions [maxaff, quad]: the sampled
+        # cuts once gave an SSC disagreement (exit 4) at --seed 3
+        d, anchor = _pin_draws()[3]
+        maxaff, quad = d["maxaff"], d["quad"]
+        doc = {"version": "lipstab-v1", "dimension": 2, "norm": "euclid", "convex": [
+            {"block": "ma", "class": "max_affine",
+             "pieces": [{"c": c.tolist(), "d": float(dd)}
+                        for c, dd in zip(maxaff.pieces_c, maxaff.pieces_d)]},
+            {"block": "q", "class": "quadratic", "Q": quad.Q.tolist(), "c": quad.c.tolist(),
+             "r": quad.r}]}
+        path = tmp_path / "tied.json"
+        path.write_text(json.dumps(doc))
+        for seed in ("0", "3"):
+            code = run_cli(["lip", "--system", str(path), "--seed", seed,
+                            "--anchor=" + ",".join(repr(float(v)) for v in anchor)])
+            assert code == 0
+            verdict = capsys.readouterr().out.splitlines()[-1]
+            assert verdict == "lip=inf regime=SSCFails converged=true"

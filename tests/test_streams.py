@@ -25,7 +25,7 @@ def test_estimator_keys_match_default_rng():
 
 
 def test_cut_point_keys_match_default_rng():
-    # convex._cut_points: (seed, round, block, i)
+    # convex._cut_points draws from (seed, 0, block, i); other middle entries are keys too
     for seed, round_idx, block_idx in itertools.product(SEEDS, range(3), range(3)):
         states = pcg64_states((seed, round_idx, block_idx), range(70))
         assert states == [_numpy_state((seed, round_idx, block_idx, i)) for i in range(70)]
