@@ -23,7 +23,7 @@ from lipstab.errors import InfeasibleAnchorError, InfeasibleRegionError, NonConv
 from lipstab.model import BlockPartition, LinearSystem
 from lipstab.norms import NormSpec, norm_value
 from lipstab.solvers.projection import project_polyhedron
-from lipstab.stability import lip_bound
+from lipstab.stability import REGIME_SLATER, lip_bound
 
 SQUARE = QuadraticFn([[2.0]], [0.0], 0.0)          # x^2
 SQUARE_SHIFTED = QuadraticFn([[2.0]], [0.0], -1.0)  # x^2 - 1
@@ -208,8 +208,9 @@ class TestDistanceConvex:
 
 # Frozen oracle: the cut pipeline as it stood before the cuts were kept as
 # arrays.  Each new cut is tested in Python against every cut kept so far in
-# its block, and the Kelley loop re-stacks Python lists.  The array code must
-# reproduce it bit for bit.
+# its block, and the Kelley loop re-stacks Python lists.  The exact route's
+# subdifferential vertices are enumerated per class in Python loops.  The
+# array code must reproduce it bit for bit.
 
 _OracleLin = namedtuple("_OracleLin", "system partition")
 
@@ -247,6 +248,59 @@ def _oracle_linearize(fs, cfg, anchor, norm=NormSpec(), block_labels=None):
         blocks.append((block_labels[j], tuple(members)))
     system = LinearSystem(anchor.shape[0], tuple(rows), norm)
     return _OracleLin(system, BlockPartition(tuple(blocks)))
+
+
+def _oracle_vertices(f, x, tol):
+    """Subdifferential vertices of f at x, one class at a time, in plain Python loops."""
+    if isinstance(f, AffineFn):
+        return [f.c]
+    if isinstance(f, QuadraticFn):
+        return [f.Q @ x + f.c]
+    if isinstance(f, MaxAffineFn):
+        vals = f.pieces_c @ x + f.pieces_d
+        top = max(vals)
+        return [f.pieces_c[i] for i in range(len(vals)) if vals[i] >= top - tol]
+    z = x - f.shift
+    n = z.shape[0]
+    if f.kappa * norm_value(f.kind, z) <= tol:
+        return [np.zeros(n)]
+    if f.kind == "euclid":
+        return [f.kappa * z / np.linalg.norm(z)]
+    if f.kind == "l1":
+        free = [k for k in range(n) if 2.0 * f.kappa * abs(z[k]) <= tol]
+        out = []
+        for r in range(2 ** len(free)):  # bit t of r flips free coordinate t to minus
+            u = f.kappa * np.sign(z)
+            for t, k in enumerate(free):
+                u[k] = f.kappa * (1.0 - 2.0 * ((r >> t) & 1))
+            out.append(u)
+        return out
+    a = np.abs(z)
+    out = []
+    for k in range(n):
+        if f.kappa * (a.max() - a[k]) <= tol:
+            u = np.zeros(n)
+            u[k] = f.kappa * np.sign(z[k])
+            out.append(u)
+    return out
+
+
+def _oracle_lip_bound_convex(fs, anchor, norm=NormSpec(), tol=1e-9):
+    """(bound, regime, history) from one row per vertex of every active function."""
+    anchor = np.asarray(anchor, dtype=float)
+    rows = []
+    for j, f in enumerate(fs):
+        v = f.value(anchor)
+        if v > tol:
+            raise InfeasibleAnchorError("anchor")
+        if v < -tol:
+            continue
+        for k, u in enumerate(_oracle_vertices(f, anchor, tol)):
+            rows.append((f"(j={j}, vertex {k})", u, float(u @ anchor - v)))
+    if not rows:
+        return 0.0, REGIME_SLATER, (0.0,)
+    rep = lip_bound(LinearSystem(anchor.shape[0], tuple(rows), norm), anchor, tol)
+    return rep.bound, rep.regime, (rep.bound,)
 
 
 def _oracle_distance_convex(fs, p, x, norm=NormSpec(), tol=1e-8):
@@ -391,6 +445,16 @@ def _outcome(fn, *args):
 
 
 class TestConvexRoutesAgainstOracle:
+    @pytest.mark.parametrize("case", range(9))
+    # the default tolerance; a looser one; a tighter one
+    @pytest.mark.parametrize("plan", [{}, {"tol": 1e-6}, {"tol": 1e-12}])
+    def test_lip_bound_convex_bit_equal(self, case, plan):
+        fs, anchor, norm = _pin_systems()[case]
+        rep = lip_bound_convex(fs, anchor, norm, **plan)
+        bound, regime, history = _oracle_lip_bound_convex(fs, anchor, norm, **plan)
+        assert _same_bytes(rep.bound, bound) and _same_bytes(rep.history, history)
+        assert rep.regime == regime
+
     @pytest.mark.parametrize("case", range(9))
     @pytest.mark.parametrize("budget", [0, 4, 64])
     def test_linearize_bit_equal(self, case, budget):
