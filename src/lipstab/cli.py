@@ -272,7 +272,7 @@ def _add_common(sub, anchor=True):
     sub.add_argument("--seed", type=int, default=0,
                      help="read by estimate, compare-partitions and linearize only")
     sub.add_argument("--tol", type=float, default=1e-9,
-                     help="relative to each row's norm in the strong Slater check; "
+                     help="relative to each row's norm for ssc and linear dist; "
                           "absolute for anchor feasibility and active rows")
 
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrderingViolationError
-from .model import BlockPartition, LinearSystem, block_assignment, validated
-from .stability import check_ssc, lip_bound, _require_anchor
+from .model import FEAS_TOL, BlockPartition, LinearSystem, block_assignment, validated
+from .stability import REGIME_SSC_FAILS, lip_bound, _require_anchor
 from .solvers.projection import project_polyhedron
 from .streams import streams
 
@@ -98,13 +98,13 @@ def empirical_lip(system: LinearSystem, partition: BlockPartition, anchor,
                   cfg: SamplingConfig = SamplingConfig(), notes=()) -> EstimateReport:
     """Sampled sup of the distance quotient at each ladder radius.
 
-    The estimate is the maximum quotient at the smallest radius.  If the
-    strong Slater condition fails, the bound is +inf by the Lipschitz-like
-    characterization and the report says so immediately.
+    The estimate is the maximum quotient at the smallest radius.  If
+    lip_bound's regime at the anchor is SSCFails, the bound is +inf by the
+    Lipschitz-like characterization and the report says so immediately.
     """
     validated(system, partition)
-    anchor = _require_anchor(system, anchor, 1e-9)
-    if not check_ssc(system).holds:
+    anchor = _require_anchor(system, anchor, FEAS_TOL)
+    if lip_bound(system, anchor).regime == REGIME_SSC_FAILS:
         stats = tuple(
             RadiusStats(r, np.inf, 0, 0, -1) for r in cfg.radii
         )

@@ -70,7 +70,7 @@ class LipReport:
     minimizer: np.ndarray | None = None
     slice_weights: np.ndarray | None = None
     min_norm_value: float | None = None
-    notes: tuple = ()
+    projection_value: float | None = None  # min ||v|| over A_act v >= 1
 
 
 @dataclass(frozen=True)
@@ -233,10 +233,8 @@ def distance_formula(system: LinearSystem, partition: BlockPartition,
 
     Requires the strong Slater condition for the perturbed system; in R^n
     the hull needs no closure, so the supremum runs over the plain convex
-    hull of the generators.  ``tol`` has two units in this module: relative
-    to each row's norm in the strong-Slater step (its only use here, since
-    x may be any point), and absolute where an anchor's feasibility is
-    tested (`lip_bound`).
+    hull of the generators.  ``tol`` is relative to each row's norm, in the
+    strong-Slater step (its only use here, since x may be any point).
     """
     validated(system, partition)
     x = _anchor_vector(x, system.dimension)
@@ -251,30 +249,42 @@ def lip_bound(system: LinearSystem, anchor, tol: float = FEAS_TOL) -> LipReport:
     """Exact Lipschitzian bound of the feasible map at (0, anchor).
 
     Partition-independent: the computation consumes only the nominal
-    characteristic set C(0).  ``tol`` has two units: in the strong-Slater
-    step it is relative to each row's norm, while the anchor's feasibility
-    and its active rows are tested against it absolutely (residuals
-    <a_t, anchor> - b_t above tol reject the anchor, and those within tol
-    of zero are active).
+    characteristic set C(0).  ``tol`` has one unit, absolute: residuals
+    <a_t, anchor> - b_t above tol reject the anchor, and those within tol of
+    zero are the active rows.  With none the anchor is a strong Slater point
+    (bound 0).  Otherwise SSC fails iff 0 is in co{a_t : t active}
+    (Gordan-Motzkin), and two routes on the active rows decide it: the slice
+    min-norm value nu (SSC fails when nu <= 1e-12 max ||a_t||_dual, the bound
+    is 1/nu otherwise), and min ||v|| over A_act v >= 1 (an empty region,
+    shown by a checked Farkas ray, when SSC fails; the bound by
+    norm-minimization duality otherwise).  They must agree in verdict and
+    within 1e-6 relative, or InternalCheckError is raised.
     """
     validated(system)
     anchor = _require_anchor(system, anchor, tol)
-    if not check_ssc(system, tol).holds:
-        return LipReport(np.inf, REGIME_SSC_FAILS)
-    gens = CharacteristicSet(
-        system.coefficient_matrix(), system.rhs_vector(), system.labels
-    )
-    result = min_norm_sliced_hull(gens, anchor, system.norm, feas_tol=tol)
-    if result.status is StatusKind.NO_INTERSECTION:
-        return LipReport(0.0, REGIME_SLATER)
-    value = result.value
-    bound = np.inf if value <= 0.0 else 1.0 / value
+    A = system.coefficient_matrix()
+    b = system.rhs_vector()
+    active = np.flatnonzero(A @ anchor - b >= -tol)
+    if not active.size:
+        return LipReport(0.0, REGIME_SLATER, projection_value=0.0)
+    projected = _min_norm_above_one(A[active], system.norm)
+    # the slice holds the same rows: it selects them by the same residual test
+    result = min_norm_sliced_hull(CharacteristicSet(A, b, system.labels), anchor,
+                                  system.norm, feas_tol=tol)
+    scale = max(map(system.norm.dual().value, A[active]))
+    bound = np.inf if result.value <= 1e-12 * scale else 1.0 / result.value
+    if np.isinf(bound) != np.isinf(projected) or abs(projected - bound) > 1e-6 * max(1.0, bound):
+        raise InternalCheckError(
+            f"lip routes disagree: slice bound {bound!r}, projection value {projected!r}")
+    if np.isinf(bound):
+        return LipReport(np.inf, REGIME_SSC_FAILS, projection_value=np.inf)
     return LipReport(
         bound=float(bound),
         regime=REGIME_REGULAR,
         minimizer=result.point,
         slice_weights=result.weights,
-        min_norm_value=float(value),
+        min_norm_value=float(result.value),
+        projection_value=projected,
     )
 
 
@@ -324,32 +334,24 @@ def coderivative_norm(system: LinearSystem, partition: BlockPartition, anchor,
     Finite Dirac combinations make ||p*|| = sum mu_t for any partition.  The
     weights live on the rows active at the anchor, and by norm-minimization
     duality the supremum equals min { ||v|| : <a_t, v> >= 1 on those rows },
-    the distance from 0 to that polyhedron in the system's norm.  It comes
-    from project_polyhedron (active set for euclid, epigraph LP for l1/linf),
-    and its point is checked row by row; an empty polyhedron (a Gordan ray)
-    gives +inf.  The certificate's cone weights are lip_bound's slice weights
-    over its min-norm value: they are dual feasible, so their mass (the
-    bound) is at most the value, and the cross-assert closes that gap.
+    the distance from 0 to that polyhedron in the system's norm: lip_bound's
+    projection route, which lip_bound has already checked against its slice
+    route.  An empty polyhedron (a Gordan ray) gives +inf.  The
+    certificate's cone weights are lip_bound's slice weights over its
+    min-norm value: they are dual feasible, and their mass is the bound.
     """
     validated(system, partition)
     anchor = _require_anchor(system, anchor, tol)
     lip = lip_bound(system, anchor, tol)
     if lip.regime == REGIME_SSC_FAILS:
         return CoderivNormReport(np.inf, None, lip.bound)
-
     A = system.coefficient_matrix()
-    b = system.rhs_vector()
-    active = np.flatnonzero(np.abs(A @ anchor - b) <= tol)
-    value = _min_norm_above_one(A[active], system.norm) if active.size else 0.0
-    _cross_assert(value, lip.bound)
-    if np.isinf(value):
-        return CoderivNormReport(np.inf, None, lip.bound)
     mu = np.zeros(A.shape[0])
     if lip.slice_weights is not None:
         mu = lip.slice_weights / lip.min_norm_value
     cert = _certificate(mu, block_assignment(system, partition), len(partition.blocks),
-                        A, b, anchor)
-    return CoderivNormReport(value, cert, lip.bound)
+                        A, system.rhs_vector(), anchor)
+    return CoderivNormReport(lip.projection_value, cert, lip.bound)
 
 
 def _min_norm_above_one(A_act, norm):
@@ -363,19 +365,8 @@ def _min_norm_above_one(A_act, norm):
     slack = A_act @ v - 1.0
     if (slack < -1e-9 * (1.0 + np.abs(A_act) @ np.abs(v))).any():
         raise InternalCheckError(
-            f"coderivative-norm point misses an active row by {-float(slack.min())!r}")
+            f"projection-route point misses an active row by {-float(slack.min())!r}")
     return norm.value(v)
-
-
-def _cross_assert(value: float, lip: float):
-    if np.isinf(value) != np.isinf(lip):
-        raise InternalCheckError(f"coderivative norm {value} vs lip bound {lip}")
-    if np.isinf(value):
-        return
-    if abs(value - lip) > 1e-6 * max(1.0, lip):
-        raise InternalCheckError(
-            f"equality chain violated: coderivative norm {value!r}, lip bound {lip!r}"
-        )
 
 
 def eps_active(system: LinearSystem, anchor, eps: float,
@@ -398,7 +389,7 @@ def eps_active(system: LinearSystem, anchor, eps: float,
         sub_report = lip_bound(system.subsystem(labels), anchor, tol)
     else:
         # empty index set: empty hull, empty slice, sup over empty set is 0
-        sub_report = LipReport(0.0, REGIME_SLATER)
+        sub_report = LipReport(0.0, REGIME_SLATER, projection_value=0.0)
     if np.isinf(sub_report.bound) or np.isinf(full.bound):
         matches = np.isinf(sub_report.bound) and np.isinf(full.bound)
     else:

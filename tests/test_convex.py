@@ -565,6 +565,23 @@ class TestExactRoute:
         rep = lip_bound_convex([f], [0.3, -0.7], NormSpec(kind))
         assert (rep.bound, rep.regime, rep.history) == (np.inf, "SSCFails", (np.inf,))
 
+    def test_scaled_norm_active_within_tol_at_its_shift_fails_ssc(self):
+        # 0.0 - 1e-10 >= -tol makes it active, and its only vertex is 0
+        rep = lip_bound_convex([ScaledNormFn(1.0, [0.0, 0.0], -1e-10)], [0.0, 0.0])
+        assert (rep.bound, rep.regime) == (np.inf, "SSCFails")
+
+    @pytest.mark.parametrize("case", range(9))
+    @pytest.mark.parametrize("tol", [0.05, 0.5])
+    def test_loose_tol_keeps_the_routes_together(self, case, tol):
+        # the regime and bound stay lip_bound's two routes at any tol; a
+        # whole-system SSC check at this tol parted from the hull route
+        fs, anchor, norm = _pin_systems()[case]
+        rep = lip_bound_convex(fs, anchor, norm, tol)
+        assert (rep.regime == "SSCFails") == np.isinf(rep.bound)
+        if (case, tol) == (1, 0.05):
+            assert (rep.bound, rep.regime) == (pytest.approx(51.34064245167125, rel=1e-9),
+                                               "Regular")
+
     def test_no_active_function_is_a_slater_point(self):
         rep = lip_bound_convex([SQUARE_SHIFTED, AffineFn([1.0], -5.0)], [0.0])
         assert (rep.bound, rep.regime, rep.history) == (0.0, "SlaterPoint", (0.0,))

@@ -199,6 +199,22 @@ def test_kkt_check_rejects_perturbed_points(monkeypatch):
         project_polyhedron(np.array([2.0, 2.0]), BOX_A, BOX_B)
 
 
+def test_kkt_check_judges_each_row_at_its_own_scale():
+    # random boundary systems (n = 20, 8 tight rows at x0) with rows scaled
+    # by 10^U(-3, 3): the coderivative-norm projection of 0 onto
+    # {v : A_act v >= 1}.  A tightness residual of 3e-11 on a row of norm
+    # 1e3 is rounding there; an absolute test failed 4 of these 60.
+    rng = np.random.default_rng(1)
+    for i in range(60):
+        m = (200, 500, 1000)[i % 3]
+        A = rng.normal(size=(m, 20))
+        rng.normal(size=20)  # x0
+        rng.uniform(0.3, 2.0, size=m - 8)  # the slack rows' slacks
+        A_act = A[:8] * 10.0 ** rng.uniform(-3.0, 3.0, size=m)[:8, None]
+        d, v = project_polyhedron(np.zeros(20), -A_act, -np.ones(8))
+        assert np.isfinite(d) and (A_act @ v >= 1.0 - 1e-9 * np.abs(A_act) @ np.abs(v)).all()
+
+
 @pytest.mark.parametrize("kind", ["l1", "linf"])
 def test_polyhedral_norms_solve_one_lp(monkeypatch, kind):
     calls = []

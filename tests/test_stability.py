@@ -9,8 +9,15 @@ from conftest import (
     random_ssc_system,
     ssc_failing_feasible,
 )
-from lipstab import stability
-from lipstab.errors import InfeasibleAnchorError, InternalCheckError, SSCViolatedError
+from lipstab import cli, stability
+from lipstab.convex import AffineFn, lip_bound_convex
+from lipstab.errors import (
+    InfeasibleAnchorError,
+    InfeasibleRegionError,
+    InternalCheckError,
+    SSCViolatedError,
+)
+from lipstab.estimator import SamplingConfig, empirical_lip, partition_compare
 from lipstab.model import BlockPartition, LinearSystem, Perturbation
 from lipstab.norms import NormSpec
 from lipstab.solvers.projection import project_polyhedron
@@ -341,6 +348,120 @@ class TestLipBound:
                 system.norm)
             assert lip_bound(moved, xbar + d).bound == pytest.approx(
                 lip_bound(system, xbar).bound, rel=1e-9)
+
+
+class TestAnchorRegime:
+    """lip_bound's regime comes from two routes on the active rows alone."""
+
+    def test_zero_row_active_within_tol_fails_ssc(self):
+        # 0 x <= 1e-10 is active by the absolute tol, so 0 is in the active hull
+        system = LinearSystem(1, (("a", [0.0], 1e-10), ("b", [1.0], 0.0)))
+        rep = lip_bound(system, [0.0])
+        assert (rep.bound, rep.regime, rep.projection_value) == (np.inf, "SSCFails", np.inf)
+        part = BlockPartition.maximum(system.labels)
+        assert coderivative_norm(system, part, [0.0]).value == np.inf
+
+    @pytest.mark.parametrize("projected", [np.inf, 0.25, 0.2 + 2e-6])
+    def test_routes_that_part_raise(self, monkeypatch, projected):
+        system = LinearSystem(2, (("t", [3.0, 4.0], 5.0),))  # bound 0.2
+        monkeypatch.setattr(stability, "_min_norm_above_one", lambda A, norm: projected)
+        with pytest.raises(InternalCheckError, match="lip routes disagree"):
+            lip_bound(system, [0.6, 0.8])
+
+    def test_projection_route_value_is_reported(self):
+        system = demo_truncation(4)
+        rep = lip_bound(system, [0.0, 0.0])
+        assert rep.projection_value == pytest.approx(rep.bound, rel=1e-6)
+        codnorm = coderivative_norm(system, BlockPartition.maximum(system.labels), [0.0, 0.0])
+        assert codnorm.value == rep.projection_value and codnorm.lip_cross == rep.bound
+
+    def test_no_whole_system_ssc_check(self, monkeypatch, rng, tmp_path, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_ssc called")
+
+        real = stability.check_ssc
+        monkeypatch.setattr(stability, "check_ssc", refuse)
+        cfg = SamplingConfig(radii=(0.1,), samples_per_radius=20)
+        for system, anchor in ((demo_truncation(4), np.zeros(2)), ssc_failing_feasible(rng)):
+            part = BlockPartition.maximum(system.labels)
+            lip_bound(system, anchor)
+            eps_active(system, anchor, 0.5)
+            coderivative_norm(system, part, anchor)
+            empirical_lip(system, part, anchor, cfg)
+            partition_compare(system, (), anchor, cfg)
+        assert lip_bound_convex([AffineFn([1.0], -1.0)], [1.0]).bound == 1.0
+        # the ssc verb still certifies the whole system
+        calls = []
+        monkeypatch.setattr(cli, "check_ssc", lambda *a: calls.append(a) or real(*a))
+        path = tmp_path / "half.json"
+        path.write_text('{"version": "lipstab-v1", "dimension": 1, "norm": "euclid", '
+                        '"rows": [{"label": "t", "a": [1.0], "b": 1.0}]}')
+        assert cli.run_cli(["ssc", "--system", str(path)]) == 0 and len(calls) == 1
+        assert capsys.readouterr().out.splitlines()[-1].startswith("ssc=true ")
+
+
+def _anchor_families(rng):
+    """(family, A, b): the margin cases, boundary, SSC-failing and paper systems."""
+    for A, b in _margin_cases(rng):
+        yield "margin", A, b
+    for make in (random_boundary_instance, ssc_failing_feasible):
+        for _ in range(20):
+            system, _ = make(rng)
+            yield make.__name__, system.coefficient_matrix(), system.rhs_vector()
+    for N in (2, 5, 10, 100, 1000):
+        system = demo_truncation(N)
+        yield "paper", system.coefficient_matrix(), system.rhs_vector()
+
+
+def test_anchor_regime_matches_check_ssc(rng):
+    # anchors are random points projected onto F, so they sit on faces of it;
+    # each family runs as drawn and with rows scaled by 10^U(-3, 3)
+    compared, parted = 0, set()
+    for family, A, b in list(_anchor_families(rng)):
+        for scaled in (False, True):
+            f = 10.0 ** rng.uniform(-3.0, 3.0, size=len(b)) if scaled else np.ones(len(b))
+            system = _system(f[:, None] * A, f * b)
+            holds = check_ssc(system).holds
+            for _ in range(3):
+                try:
+                    _, y = project_polyhedron(2.0 * rng.normal(size=A.shape[1]),
+                                              system.coefficient_matrix(), system.rhs_vector())
+                except InfeasibleRegionError:
+                    break
+                try:
+                    regime = lip_bound(system, y).regime
+                except InternalCheckError:
+                    parted.add((family, scaled))
+                    continue
+                assert (regime == "SSCFails") == (not holds), (family, scaled, y)
+                compared += 1
+    assert compared >= 350
+    # The routes may part (exit 4) only on row-scaled copies whose active
+    # rows mix sizes of 1e+-3: the slice NNLS's accuracy and the projection
+    # point's cancellation limit them there.  Never on the families as drawn,
+    # nor on the row-scaled boundary systems.
+    assert not any(not scaled or family == "random_boundary_instance"
+                   for family, scaled in parted), parted
+
+
+def test_lip_exits_4_or_equals_codnorm_on_mixed_scale_hulls():
+    # rows q_t x <= 0 in R^8 at anchor 0, q_t = (N(0, 1) + 3 e_1) 10^U(-3, 3):
+    # when the slice NNLS misses the bound, lip must exit 4, not print it
+    exits = 0
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        Q = rng.normal(size=(60, 8))
+        Q[:, 0] += 3.0
+        Q *= 10.0 ** rng.uniform(-3.0, 3.0, size=(60, 1))
+        system = _system(Q, np.zeros(60))
+        try:
+            bound = lip_bound(system, np.zeros(8)).bound
+        except InternalCheckError:
+            exits += 1
+            continue
+        codnorm = coderivative_norm(system, BlockPartition.maximum(system.labels), np.zeros(8))
+        assert codnorm.value == pytest.approx(bound, rel=1e-6)
+    assert exits < 30
 
 
 class TestCoderivativeMember:
