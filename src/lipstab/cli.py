@@ -272,8 +272,8 @@ def _add_common(sub, anchor=True):
     sub.add_argument("--seed", type=int, default=0,
                      help="read by estimate, compare-partitions and linearize only")
     sub.add_argument("--tol", type=float, default=1e-9,
-                     help="relative to each row's norm for ssc and linear dist; "
-                          "absolute for anchor feasibility and active rows")
+                     help="relative to each row's norm for ssc, linear dist and "
+                          "active rows; absolute for anchor feasibility")
 
 
 @functools.cache

@@ -117,8 +117,10 @@ def _project_euclid(X, A, B):
 def _checked_points(X, A, B, W, empty):
     """Each point recomputed from its working rows and its KKT conditions
     checked: multipliers >= -1e-11 (1 + max |A x - b|), working rows tight
-    within 1e-11 (1 + |b_t| + |a_t||y|) and every row within 1e-9 (1 + |A||y|),
-    so each row is judged at the rounding scale of its own terms."""
+    within 1e-11 (1 + |b_t| + |a_t| z) and every row within 1e-9 (1 + |A| z),
+    where z = |x| + sum_s |mu_s||a_s| is the size of the terms that build
+    y = x - sum_s mu_s a_s: each row is judged at the rounding scale of its
+    own terms, cancellation in y included."""
     k, n = X.shape
     Ap = np.vstack([A, np.zeros(n)])
     Bw = np.hstack([B, np.zeros((k, 1))])[np.arange(k)[:, None], W]
@@ -126,9 +128,10 @@ def _checked_points(X, A, B, W, empty):
     mu = np.linalg.solve(G, AW @ X[:, :, None] - Bw[:, :, None])[:, :, 0]
     Y = X - np.einsum("ks,ksn->kn", mu, AW)
     tol = 1e-11 * (1.0 + np.abs(X @ A.T - B).max(axis=1))
+    terms = np.abs(X) + np.einsum("ks,ksn->kn", np.abs(mu), np.abs(AW))
     tight = np.abs(np.einsum("ksn,kn->ks", AW, Y) - Bw) - 1e-11 * (
-        1.0 + np.abs(Bw) + np.einsum("ksn,kn->ks", np.abs(AW), np.abs(Y)))
-    slack = Y @ A.T - B - 1e-9 * (1.0 + np.abs(Y) @ np.abs(A).T)
+        1.0 + np.abs(Bw) + np.einsum("ksn,kn->ks", np.abs(AW), terms))
+    slack = Y @ A.T - B - 1e-9 * (1.0 + terms @ np.abs(A).T)
     bad = ((mu.min(axis=1) < -tol) | (tight.max(axis=1) > 0.0)
            | (slack.max(axis=1) > 0.0)) & ~empty
     if bad.any():

@@ -249,10 +249,12 @@ def lip_bound(system: LinearSystem, anchor, tol: float = FEAS_TOL) -> LipReport:
     """Exact Lipschitzian bound of the feasible map at (0, anchor).
 
     Partition-independent: the computation consumes only the nominal
-    characteristic set C(0).  ``tol`` has one unit, absolute: residuals
-    <a_t, anchor> - b_t above tol reject the anchor, and those within tol of
-    zero are the active rows.  With none the anchor is a strong Slater point
-    (bound 0).  Otherwise SSC fails iff 0 is in co{a_t : t active}
+    characteristic set C(0).  Residuals <a_t, anchor> - b_t above ``tol``
+    reject the anchor (an absolute test), and a row is active when its
+    hyperplane lies within tol of the anchor, residual >= -tol ||a_t||_2:
+    scaling a row keeps the active set, and a zero row is active only when
+    b_t <= 0.  With none the anchor is a strong Slater point (bound 0).
+    Otherwise SSC fails iff 0 is in co{a_t : t active}
     (Gordan-Motzkin), and two routes on the active rows decide it: the slice
     min-norm value nu (SSC fails when nu <= 1e-12 max ||a_t||_dual, the bound
     is 1/nu otherwise), and min ||v|| over A_act v >= 1 (an empty region,
@@ -264,14 +266,15 @@ def lip_bound(system: LinearSystem, anchor, tol: float = FEAS_TOL) -> LipReport:
     anchor = _require_anchor(system, anchor, tol)
     A = system.coefficient_matrix()
     b = system.rhs_vector()
-    active = np.flatnonzero(A @ anchor - b >= -tol)
+    active = np.flatnonzero(A @ anchor - b >= -tol * np.linalg.norm(A, axis=1))
     if not active.size:
         return LipReport(0.0, REGIME_SLATER, projection_value=0.0)
-    projected = _min_norm_above_one(A[active], system.norm)
-    # the slice holds the same rows: it selects them by the same residual test
-    result = min_norm_sliced_hull(CharacteristicSet(A, b, system.labels), anchor,
-                                  system.norm, feas_tol=tol)
-    scale = max(map(system.norm.dual().value, A[active]))
+    A_act = A[active]
+    projected = _min_norm_above_one(A_act, system.norm)
+    # an infinite feas_tol keeps every row: the slice is exactly these rows
+    result = min_norm_sliced_hull(CharacteristicSet(A_act, b[active], active), anchor,
+                                  system.norm, feas_tol=np.inf)
+    scale = max(map(system.norm.dual().value, A_act))
     bound = np.inf if result.value <= 1e-12 * scale else 1.0 / result.value
     if np.isinf(bound) != np.isinf(projected) or abs(projected - bound) > 1e-6 * max(1.0, bound):
         raise InternalCheckError(
@@ -282,7 +285,7 @@ def lip_bound(system: LinearSystem, anchor, tol: float = FEAS_TOL) -> LipReport:
         bound=float(bound),
         regime=REGIME_REGULAR,
         minimizer=result.point,
-        slice_weights=result.weights,
+        slice_weights=np.bincount(active, result.weights, len(b)),
         min_norm_value=float(result.value),
         projection_value=projected,
     )
@@ -361,9 +364,10 @@ def _min_norm_above_one(A_act, norm):
                                   np.full(A_act.shape[0], -1.0), norm)
     except InfeasibleRegionError:
         return np.inf
-    # each row is judged at the rounding scale of its own terms
+    # v is accurate normwise, to rounding of its largest entry, so each row is
+    # judged at |a_t|_1 max|v|: a small entry can carry its big neighbours' error
     slack = A_act @ v - 1.0
-    if (slack < -1e-9 * (1.0 + np.abs(A_act) @ np.abs(v))).any():
+    if (slack < -1e-9 * (1.0 + np.abs(A_act).sum(axis=1) * np.abs(v).max())).any():
         raise InternalCheckError(
             f"projection-route point misses an active row by {-float(slack.min())!r}")
     return norm.value(v)

@@ -565,10 +565,11 @@ class TestExactRoute:
         rep = lip_bound_convex([f], [0.3, -0.7], NormSpec(kind))
         assert (rep.bound, rep.regime, rep.history) == (np.inf, "SSCFails", (np.inf,))
 
-    def test_scaled_norm_active_within_tol_at_its_shift_fails_ssc(self):
-        # 0.0 - 1e-10 >= -tol makes it active, and its only vertex is 0
+    def test_scaled_norm_within_tol_of_its_shift_is_a_slater_point(self):
+        # f(0) = -1e-10 is within tol, but the function's one vertex, 0, gives
+        # the row 0 x <= 1e-10, which is never tight: 0 is a Slater point
         rep = lip_bound_convex([ScaledNormFn(1.0, [0.0, 0.0], -1e-10)], [0.0, 0.0])
-        assert (rep.bound, rep.regime) == (np.inf, "SSCFails")
+        assert (rep.bound, rep.regime) == (0.0, "SlaterPoint")
 
     @pytest.mark.parametrize("case", range(9))
     @pytest.mark.parametrize("tol", [0.05, 0.5])

@@ -353,13 +353,41 @@ class TestLipBound:
 class TestAnchorRegime:
     """lip_bound's regime comes from two routes on the active rows alone."""
 
-    def test_zero_row_active_within_tol_fails_ssc(self):
-        # 0 x <= 1e-10 is active by the absolute tol, so 0 is in the active hull
-        system = LinearSystem(1, (("a", [0.0], 1e-10), ("b", [1.0], 0.0)))
+    @pytest.mark.parametrize("rhs, bound, regime", [(1e-10, 1.0, "Regular"),
+                                                   (0.0, np.inf, "SSCFails")])
+    def test_zero_row(self, rhs, bound, regime):
+        # 0 x <= 1e-10 is never tight (x = -1 is a strict point), while
+        # 0 x <= 0 is tight everywhere and puts 0 in the active hull
+        system = LinearSystem(1, (("a", [0.0], rhs), ("b", [1.0], 0.0)))
         rep = lip_bound(system, [0.0])
-        assert (rep.bound, rep.regime, rep.projection_value) == (np.inf, "SSCFails", np.inf)
+        assert (rep.bound, rep.regime, rep.projection_value) == (bound, regime, bound)
         part = BlockPartition.maximum(system.labels)
-        assert coderivative_norm(system, part, [0.0]).value == np.inf
+        assert coderivative_norm(system, part, [0.0]).value == bound
+
+    @pytest.mark.parametrize("scale", 10.0 ** np.arange(-12, 13))
+    def test_far_row_of_any_scale_is_not_active(self, scale):
+        # scale x <= scale is {x <= 1}: slack 1 at 0 in its own units
+        system = LinearSystem(1, (("far", [scale], scale), ("tight", [-1.0], 0.0)))
+        rep = lip_bound(system, [0.0])
+        assert (rep.bound, rep.regime) == (1.0, "Regular")
+        assert rep.slice_weights.tolist() == [0.0, 1.0]
+        part = BlockPartition.maximum(system.labels)
+        assert coderivative_norm(system, part, [0.0]).value == 1.0
+
+    def test_estimate_samples_the_far_row_document(self, tmp_path, capsys):
+        # the far row is tiny, not active: estimate samples instead of
+        # returning the SSCFails inf, and compare-partitions prints bound 1
+        path = tmp_path / "far.json"
+        path.write_text('{"version": "lipstab-v1", "dimension": 1, "norm": "euclid", "rows": '
+                        '[{"label": "far", "a": [1e-10], "b": 1e-10}, '
+                        '{"label": "tight", "a": [-1.0], "b": 0.0}]}')
+        common = ["--system", str(path), "--anchor=0", "--samples", "50",
+                  "--radius-ladder", "1e-12"]
+        assert cli.run_cli(["estimate", *common]) == 0
+        out = capsys.readouterr().out
+        assert "ssc fails" not in out and "estimate=1\n" in out
+        assert cli.run_cli(["compare-partitions", *common]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].endswith(" lip=1")
 
     @pytest.mark.parametrize("projected", [np.inf, 0.25, 0.2 + 2e-6])
     def test_routes_that_part_raise(self, monkeypatch, projected):
@@ -436,12 +464,9 @@ def test_anchor_regime_matches_check_ssc(rng):
                 assert (regime == "SSCFails") == (not holds), (family, scaled, y)
                 compared += 1
     assert compared >= 350
-    # The routes may part (exit 4) only on row-scaled copies whose active
-    # rows mix sizes of 1e+-3: the slice NNLS's accuracy and the projection
-    # point's cancellation limit them there.  Never on the families as drawn,
-    # nor on the row-scaled boundary systems.
-    assert not any(not scaled or family == "random_boundary_instance"
-                   for family, scaled in parted), parted
+    # The routes may part (exit 4) only on row-scaled margin cases, whose
+    # active rows mix sizes of 1e+-3 beyond the slice NNLS's accuracy
+    assert parted <= {("margin", True)}, parted
 
 
 def test_lip_exits_4_or_equals_codnorm_on_mixed_scale_hulls():
