@@ -23,17 +23,22 @@ from .simplex import lp_solve_nonneg
 def zero_face_floor(A, alpha):
     """min alpha.lam over simplex weights with A^T lam = 0, and the weights.
 
-    Returns (floor, lam); (+inf, None) when no such weights exist.  It is
-    the dual of the strong Slater margin LP, and the support of lam seeds
-    that LP's row generation in ``stability.check_ssc``.
+    Returns (floor, lam, status); (+inf, None, status) unless Optimal.  It
+    is the dual of the margin LP min s s.t. <a_t, x> - s <= alpha_t: an
+    Optimal status carries x and -s as its duals, an Infeasible one a Farkas
+    certificate.  Weight t's column is scaled by the power of two nearest
+    1 / max|(a_t, 1)| (Tomlin 1975), which keeps the duals in the caller's
+    units.
     """
     m, n = A.shape
-    eq = np.vstack([A.T, np.ones((1, m))])
+    scale = np.exp2(-np.rint(np.log2(np.abs(A).max(axis=1, initial=1.0))))
+    eq = np.vstack([A.T, np.ones((1, m))]) * scale
     rhs = np.concatenate([np.zeros(n), [1.0]])
-    status, lam = lp_solve_nonneg(alpha, None, None, eq, rhs)
+    status, mu = lp_solve_nonneg(alpha * scale, None, None, eq, rhs)
     if not status.optimal:
-        return np.inf, None
-    return float(alpha @ lam), lam
+        return np.inf, None, status
+    lam = scale * mu
+    return float(alpha @ lam), lam, status
 
 
 def dual_ball_lp(A, c, dual_kind):

@@ -64,6 +64,14 @@ class _Tableau:
             self.Binv = np.linalg.pinv(B)
         self.xB = self.Binv @ self.b
 
+    def duals(self, cost):
+        """pi with B^T pi = cost_B, solved afresh: the updated inverse drifts."""
+        B = self.A[:, self.basis]
+        try:
+            return np.linalg.solve(B.T, cost[self.basis])
+        except np.linalg.LinAlgError:
+            return np.linalg.pinv(B.T) @ cost[self.basis]
+
     def _pivot(self, leave, enter, d):
         theta = self.xB[leave] / d[leave]
         self.xB -= theta * d
@@ -102,18 +110,20 @@ class _Tableau:
             else:
                 enter = int(candidates[np.argmin(reduced[candidates])])
             d = self.Binv @ self.A[:, enter]
+            # entries at rounding level of the column are no pivots
+            piv = tol_piv * max(1.0, float(np.abs(d).max(initial=0.0)))
 
             # keep zero-valued artificials pinned: a negative direction
             # component on such a row forces a degenerate swap-out
             art_rows = np.where(
-                is_artificial[self.basis] & (d < -tol_piv) & (self.xB <= 1e-9)
+                is_artificial[self.basis] & (d < -piv) & (self.xB <= 1e-9)
             )[0]
             if art_rows.size:
                 leave = int(art_rows[0])
                 self._pivot(leave, enter, d)
                 continue
 
-            pos = np.where(d > tol_piv)[0]
+            pos = np.where(d > piv)[0]
             if pos.size == 0:
                 self._last_enter = enter
                 self._last_dir = d
@@ -153,7 +163,9 @@ def solve_standard(c, A, b, seed_cols, maxiter=DEFAULT_MAXITER):
     """Two-phase simplex on min c.z s.t. A z = b, z >= 0 with b >= 0.
 
     seed_cols[i] gives a column equal to +e_i usable as initial basis for
-    row i, or -1 to request an artificial.  Returns (status, z, duals).
+    row i, or -1 to request an artificial.  Returns (status, z).  The
+    status certificate is the duals pi (Optimal), the phase-1 duals
+    (Infeasible) or an improving ray (Unbounded, z the last iterate).
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -164,21 +176,15 @@ def solve_standard(c, A, b, seed_cols, maxiter=DEFAULT_MAXITER):
 
     allowed = np.zeros(N + m, dtype=bool)
     allowed[:N] = True
-    phase1_duals = None
     if tab.artificial_used:
         cost1 = np.zeros(N + m)
         cost1[N:] = 1.0
         outcome = tab.run(cost1, allowed, 1.0)
         if outcome == "iterlimit":
-            return SolveStatus(StatusKind.ITER_LIMIT, tab.iterations), None, None
-        obj1 = float(cost1[tab.basis] @ tab.xB)
-        phase1_duals = cost1[tab.basis] @ tab.Binv
-        if obj1 > 1e-9 * (1.0 + scale_b):
-            return (
-                SolveStatus(StatusKind.INFEASIBLE, tab.iterations, phase1_duals),
-                None,
-                None,
-            )
+            return SolveStatus(StatusKind.ITER_LIMIT, tab.iterations), None
+        if float(cost1[tab.basis] @ tab.xB) > 1e-9 * (1.0 + scale_b):
+            phase1_duals = cost1[tab.basis] @ tab.Binv
+            return SolveStatus(StatusKind.INFEASIBLE, tab.iterations, phase1_duals), None
         # drive removable artificials out via degenerate pivots
         for i in range(m):
             if tab.basis[i] >= N:
@@ -193,15 +199,10 @@ def solve_standard(c, A, b, seed_cols, maxiter=DEFAULT_MAXITER):
     scale_c = float(np.abs(c).max()) if c.size else 0.0
     outcome = tab.run(cost2, allowed, scale_c)
     if outcome == "iterlimit":
-        return SolveStatus(StatusKind.ITER_LIMIT, tab.iterations), None, None
+        return SolveStatus(StatusKind.ITER_LIMIT, tab.iterations), None
     if outcome == "unbounded":
-        return (
-            SolveStatus(StatusKind.UNBOUNDED, tab.iterations, tab.ray()[:N]),
-            tab.solution()[:N],
-            None,
-        )
-    duals = cost2[tab.basis] @ tab.Binv
-    return SolveStatus(StatusKind.OPTIMAL, tab.iterations), tab.solution()[:N], duals
+        return SolveStatus(StatusKind.UNBOUNDED, tab.iterations, tab.ray()[:N]), tab.solution()[:N]
+    return SolveStatus(StatusKind.OPTIMAL, tab.iterations, tab.duals(cost2)), tab.solution()[:N]
 
 
 def lp_solve(objective, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
@@ -211,9 +212,9 @@ def lp_solve(objective, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     Either block may be omitted (None).  Solved as the nonnegative program
     over the split x = w+ - w-.  Returns (SolveStatus, x); x is None unless
     the status is Optimal or Unbounded (then x is the last feasible iterate
-    and the certificate holds an improving ray).  An Infeasible status
-    carries the Farkas certificate of lp_solve_nonneg, which for free x has
-    y^T [A_ub; A_eq] = 0.
+    and the certificate holds an improving ray).  Optimal and Infeasible
+    statuses carry the duals and the Farkas certificate of lp_solve_nonneg;
+    for free x, y^T [A_ub; A_eq] is the objective and 0 respectively.
     """
     c = np.asarray(objective, dtype=float)
     n = c.shape[0]
@@ -236,9 +237,11 @@ def lp_solve_nonneg(objective, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
                     maxiter=DEFAULT_MAXITER):
     """Minimize objective . w for w >= 0 with A_ub w <= b_ub, A_eq w = b_eq.
 
-    Returns (SolveStatus, w) as lp_solve does.  An Infeasible status carries
-    a Farkas certificate y over the caller's rows, A_ub rows first: y >= 0
-    on the A_ub rows, y^T [A_ub; A_eq] >= 0 and y . [b_ub; b_eq] < 0.
+    Returns (SolveStatus, w) as lp_solve does.  The certificate is over the
+    caller's rows, A_ub rows first.  Optimal: duals y <= 0 on the A_ub rows
+    with y^T [A_ub; A_eq] <= objective and y . [b_ub; b_eq] = objective . w.
+    Infeasible: a Farkas y >= 0 on the A_ub rows with y^T [A_ub; A_eq] >= 0
+    and y . [b_ub; b_eq] < 0.
     """
     c = np.asarray(objective, dtype=float)
     n = c.shape[0]
@@ -263,7 +266,7 @@ def lp_solve_nonneg(objective, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     slack_seeded = flip[:m_ub] > 0
     seed[:m_ub][slack_seeded] = n + np.arange(m_ub)[slack_seeded]
     cost = np.concatenate([c, np.zeros(m_ub)])
-    status, z, _ = solve_standard(cost, A, b, seed, maxiter)
+    status, z = solve_standard(cost, A, b, seed, maxiter)
     if status.kind is StatusKind.INFEASIBLE:
         # phase-1 duals pi have pi.b > 0 and pi.A <= 0 on the flipped rows
         return SolveStatus(status.kind, status.iterations, -flip * status.certificate), None
@@ -272,4 +275,4 @@ def lp_solve_nonneg(objective, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     w = z[:n]
     if status.kind is StatusKind.UNBOUNDED:
         return SolveStatus(status.kind, status.iterations, status.certificate[:n]), w
-    return status, w
+    return SolveStatus(status.kind, status.iterations, flip * status.certificate), w

@@ -10,7 +10,6 @@ the strong Slater condition fails).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,7 @@ from .model import (
 from .solvers.minnorm import min_norm_point, min_norm_sliced_hull
 from .solvers.projection import project_polyhedron
 from .solvers.ratio import max_ratio_over_hull, zero_face_floor
-from .solvers.simplex import StatusKind, lp_solve, lp_solve_nonneg
+from .solvers.simplex import StatusKind, lp_solve_nonneg
 
 REGIME_SLATER = "SlaterPoint"
 REGIME_REGULAR = "Regular"
@@ -67,7 +66,6 @@ class LipReport:
 
     bound: float
     regime: str
-    minimizer: np.ndarray | None = None
     slice_weights: np.ndarray | None = None
     min_norm_value: float | None = None
     projection_value: float | None = None  # min ||v|| over A_act v >= 1
@@ -104,18 +102,18 @@ def check_ssc(system: LinearSystem, tol: float = FEAS_TOL) -> SSCReport:
     Both decide on the rows (a_t, b_t) divided by their Euclidean norms
     (zero rows stay zero): that keeps the condition and its Slater points,
     so scaling any row, or the whole system, keeps the verdict.  LP
-    route: the margin LP min s s.t. <a_t, x> - s <= b_t runs by row
-    generation, seeded with the support of the weights of its dual, the
-    zero-face floor LP (n + 1 rows), or with the n + 1 rows of smallest b_t
-    when no weights exist; it reports the margin only once its point (or
-    Gordan ray) holds on all m rows.  SSC holds iff the normalized rows have
-    a margin < -tol: the LP's point shows it when its normalized residuals
-    are all < -tol, else the margin LP of the normalized rows decides and
-    gives the Slater point.  Hull route: SSC fails iff co{(a_t, b_t)} meets
-    the ray {0} x (-inf, 0], that is iff the origin lies in the hull of the
-    normalized rows and (0, 1); it holds iff the NNLS kernel, with no LP,
-    finds that hull's min-norm point > tol from the origin.  Disagreement
-    aborts with diagnostics.
+    route: the margin min s s.t. <a_t, x> - s <= b_t and its point come
+    from the optimal duals of one LP, its dual the zero-face floor LP
+    (n + 1 equality rows), or from that LP's Farkas certificate when the
+    margin is unbounded below; both are checked on all m rows before they
+    are used.  SSC holds iff the normalized rows have a margin < -tol: the
+    point shows it when its normalized residuals are all < -tol, else the
+    floor LP of the normalized rows decides and gives the Slater point.
+    Hull route: SSC fails iff co{(a_t, b_t)} meets the ray {0} x (-inf, 0],
+    that is iff the origin lies in the hull of the normalized rows and
+    (0, 1); it holds iff the NNLS kernel, with no LP, finds that hull's
+    min-norm point > tol from the origin.  Disagreement aborts with
+    diagnostics.
     """
     validated(system)
     A = system.coefficient_matrix()
@@ -127,12 +125,10 @@ def check_ssc(system: LinearSystem, tol: float = FEAS_TOL) -> SSCReport:
     hull /= np.linalg.norm(hull, axis=1, keepdims=True).clip(min=1.0)
     A1, b1 = hull[:, :n], hull[:, n]
 
-    _, lam = zero_face_floor(A, b)
-    seed = np.argsort(b, kind="stable")[:n + 1] if lam is None else np.flatnonzero(lam > 0)
-    margin, witness = _ssc_margin_lp(A, b, seed)
+    margin, witness = _margin(A, b)
     slack = float((A1 @ witness - b1).max())
     if not slack < -tol:
-        slack, witness = _ssc_margin_lp(A1, b1, seed)
+        slack, witness = _margin(A1, b1)
     lp_holds = slack < -tol
 
     hull_gap, _, _, _, _ = min_norm_point(np.vstack([hull, np.eye(1, n + 1, n)]))
@@ -152,59 +148,45 @@ def check_ssc(system: LinearSystem, tol: float = FEAS_TOL) -> SSCReport:
     )
 
 
-def _ssc_margin_lp(A, b, seed):
-    """min s s.t. <a_t, x> - s <= b_t on all rows, by row generation.
+def _margin(A, b):
+    """min over x of max_t (<a_t, x> - b_t), and a point within rounding of it.
 
-    It runs on A, b / k, k = 2^floor(log2 max|[A | b]|) (exact), so the
-    simplex's absolute tolerances fit every uniformly scaled system.  Each
-    round solves the LP on the working rows (starting from seed) and adds
-    the n + 1 rows that its optimal point, or its improving ray, violates
-    most.  Returns (margin, witness), max(A witness - b) <= margin + rounding.
+    One zero-face floor LP, the dual of the margin LP, gives both.  Optimal:
+    its duals are the point x and minus the margin; x is checked on every
+    row at that row's rounding scale, and the weights for nonnegativity,
+    A^T lam = 0 and b.lam = -margin.  Infeasible: its Farkas certificate y
+    gives d = y[:n] / y[n] with A d <= -1, so the margin is unbounded below;
+    the witness is (|s| + 1) d with s = max(-b), and the margin reported is
+    its largest residual.  Returns (margin, witness).
     """
-    m, n = A.shape
-    k = math.ldexp(1.0, math.frexp(max(np.abs(A).max(), np.abs(b).max()))[1] - 1)
-    A, b = A / k, b / k
-    objective = np.zeros(n + 1)
-    objective[n] = 1.0
-    lifted = np.hstack([A, -np.ones((m, 1))])
-    working = np.zeros(m, dtype=bool)
-    working[seed] = True
-    while True:
-        rows = np.flatnonzero(working)
-        status, z = lp_solve(objective, lifted[rows], b[rows])
-        if status.kind is StatusKind.ITER_LIMIT:
-            raise NonConvergentError("SSC LP hit the pivot cap")
-        if status.kind is StatusKind.OPTIMAL:
-            violation = lifted @ z - b
-            tol = 1e-12 * (1.0 + float(np.abs(b).max()))
-            if violation[rows].max() < -tol:
-                raise InternalCheckError("SSC LP point is tight on none of its rows")
-            if violation.max() <= tol:
-                return k * float(z[n]), z[:n]
-        elif status.kind is StatusKind.UNBOUNDED:
-            ray = status.certificate
-            if not ray[n] < 0:
-                raise InternalCheckError(f"SSC LP ray does not decrease s: {ray[n]!r}")
-            # along the ray scaled to s-step -1, every row needs A d <= -1;
-            # each row is judged at the rounding scale of its own terms
-            d = ray[:n] / -ray[n]
-            violation = A @ d + 1.0
-            tol = 1e-9 * (1.0 + np.abs(A) @ np.abs(d))
-            if (violation <= tol).all():
-                # z need not hold on the rows outside the working set
-                s = float((A @ z[:n] - b).max())
-                witness = z[:n] + (abs(s) + 1.0) * d
-                return k * float((A @ witness - b).max()), witness
-        else:
-            raise InternalCheckError(f"SSC LP ended with {status.kind}")
-        violated = violation > tol
-        if violated[rows].any():
-            raise InternalCheckError(
-                f"SSC LP {status.kind.value} violates its own rows by "
-                f"{float(violation[rows].max())!r}"
-            )
-        worst = np.argsort(-violation, kind="stable")[:n + 1]
-        working[worst[violated[worst]]] = True
+    n = A.shape[1]
+    _, lam, status = zero_face_floor(A, b)
+    y = status.certificate
+    if status.kind is StatusKind.ITER_LIMIT:
+        raise NonConvergentError("zero-face floor LP hit the pivot cap")
+    if status.kind is StatusKind.OPTIMAL:
+        x, margin = y[:n], -float(y[n])
+        miss = A @ x - b - margin
+        if (miss > 1e-9 * (np.abs(A) @ np.abs(x) + np.abs(b) + abs(margin))).any():
+            raise InternalCheckError(f"SSC LP point misses a row by {float(miss.max())!r}")
+        # the weights solve the basis normwise, weight t on the scale max|(a_t, 1)|
+        face = float(np.abs(A.T @ lam).max(initial=0.0))
+        gap = abs(float(b @ lam) + margin)
+        if (lam.min() < -1e-9 * float(np.abs(lam).sum())
+                or face > 1e-9 * float(np.abs(lam) @ np.abs(A).max(axis=1, initial=1.0))
+                or gap > 1e-9 * float(np.abs(b) @ np.abs(lam))):
+            raise InternalCheckError(f"SSC LP weights fail: A^T lam {face!r}, gap {gap!r}")
+        return margin, x
+    if status.kind is StatusKind.INFEASIBLE:
+        if not y[n] < 0:
+            raise InternalCheckError(f"SSC LP Farkas certificate has y[n] = {y[n]!r}")
+        d = y[:n] / y[n]
+        # each row is judged at the rounding scale of its own terms
+        if (A @ d + 1.0 > 1e-9 * (1.0 + np.abs(A) @ np.abs(d))).any():
+            raise InternalCheckError("SSC LP direction misses a row")
+        witness = (abs(float((-b).max())) + 1.0) * d
+        return float((A @ witness - b).max()), witness
+    raise InternalCheckError(f"SSC LP ended with {status.kind}")
 
 
 def _anchor_vector(anchor, dimension: int) -> np.ndarray:
@@ -284,7 +266,6 @@ def lip_bound(system: LinearSystem, anchor, tol: float = FEAS_TOL) -> LipReport:
     return LipReport(
         bound=float(bound),
         regime=REGIME_REGULAR,
-        minimizer=result.point,
         slice_weights=np.bincount(active, result.weights, len(b)),
         min_norm_value=float(result.value),
         projection_value=projected,

@@ -97,6 +97,12 @@ def test_random_nonneg_instances_match_scipy(rng):
             assert status.kind is StatusKind.OPTIMAL
             assert w.min() > -1e-9
             assert c @ w == pytest.approx(ref.fun, rel=1e-7, abs=1e-7)
+            # the duals are feasible and close the gap
+            y = status.certificate
+            A = np.vstack([Aub, Aeq])
+            assert y.shape == (mu + me,) and (y[:mu] <= 1e-9).all()
+            assert (c - y @ A >= -1e-9).all()
+            assert y @ np.concatenate([bub, beq]) == pytest.approx(ref.fun, rel=1e-7, abs=1e-7)
         elif ref.status == 2:
             assert status.kind is StatusKind.INFEASIBLE
         elif ref.status == 3:

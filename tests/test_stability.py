@@ -20,6 +20,7 @@ from lipstab.errors import (
 from lipstab.estimator import SamplingConfig, empirical_lip, partition_compare
 from lipstab.model import BlockPartition, LinearSystem, Perturbation
 from lipstab.norms import NormSpec
+from lipstab.solvers import ratio
 from lipstab.solvers.projection import project_polyhedron
 from lipstab.solvers.ratio import zero_face_floor
 from lipstab.solvers.simplex import SolveStatus, StatusKind
@@ -67,13 +68,6 @@ def _system(A, b):
     return LinearSystem(A.shape[1], tuple((f"t{i}", A[i], float(b[i])) for i in range(len(b))))
 
 
-def _floor_seed(A, b):
-    _, lam = zero_face_floor(A, b)
-    if lam is None:
-        return np.argsort(b, kind="stable")[:A.shape[1] + 1]
-    return np.flatnonzero(lam > 0)
-
-
 def _assert_witness(A, b, margin, witness):
     assert (A @ witness - b).max() <= margin + 1e-9 * (1.0 + np.abs(b).max())
 
@@ -108,18 +102,21 @@ def _margin_cases(rng):
 
 
 class TestSSCMarginLP:
-    @pytest.mark.parametrize("bad", ["ray_violates_working_row", "ray_keeps_s", "point_violates_working_row"])
+    @pytest.mark.parametrize("bad", ["point_misses_a_row", "weights_off_the_face",
+                                     "farkas_keeps_s", "direction_misses_a_row"])
     def test_lp_route_checks_its_certificates(self, monkeypatch, bad):
-        def fake_lp_solve(objective, A_ub, b_ub):
-            ray = np.concatenate([10.0 * A_ub[0, :-1], [-1.0]])
-            if bad == "ray_keeps_s":
-                ray[-1] = 0.0
-            if bad == "point_violates_working_row":
-                z = np.concatenate([np.zeros(A_ub.shape[1] - 1), [b_ub.min() - 1.0]])
-                return SolveStatus(StatusKind.OPTIMAL, 1), z
-            return SolveStatus(StatusKind.UNBOUNDED, 1, ray), np.zeros(A_ub.shape[1])
-
-        monkeypatch.setattr(stability, "lp_solve", fake_lp_solve)
+        # the box |x_k| <= 1: margin -1 at x = 0, duals (0, 0, 1), weights (1/2, 1/2, 0, 0)
+        duals, lam, kind = np.array([0.0, 0.0, 1.0]), np.array([0.5, 0.5, 0.0, 0.0]), "OPTIMAL"
+        if bad == "point_misses_a_row":
+            duals[0] = 0.5
+        elif bad == "weights_off_the_face":
+            lam = np.array([1.0, 0.0, 0.0, 0.0])
+        elif bad == "farkas_keeps_s":
+            duals, lam, kind = np.array([1.0, 0.0, 0.5]), None, "INFEASIBLE"
+        else:  # d = (-1, 0) leaves A d <= -1 on the first row only
+            duals, lam, kind = np.array([1.0, 0.0, -1.0]), None, "INFEASIBLE"
+        status = SolveStatus(StatusKind[kind], 1, duals)
+        monkeypatch.setattr(stability, "zero_face_floor", lambda A, b: (1.0, lam, status))
         with pytest.raises(InternalCheckError):
             check_ssc(box_system())
 
@@ -173,25 +170,36 @@ class TestSSCMarginLP:
         system = LinearSystem(2, (("a", [1e10, 0.0], 1.0), ("b", [-1.0, 0.0], 1.0),
                                   ("c", [1.0, 1.0], 0.0)))
         rep = check_ssc(system)
-        assert rep.holds
+        assert rep.holds and rep.margin == pytest.approx(-1.0, rel=1e-12)
         assert max(system.residuals(rep.slater_point)) < 0.0
 
-    def test_margin_does_not_depend_on_the_seed(self, rng):
+    @pytest.mark.parametrize("e", [4, 5, 6])
+    def test_row_scaled_copies_keep_the_verdict(self, rng, e):
+        # rows scaled by 10^U(-e, e): the floor LP's column scaling keeps its
+        # checks passing, and the verdict is the unscaled one
+        draws = np.random.default_rng(e)
         for A, b in _margin_cases(rng):
-            m = A.shape[0]
+            holds = check_ssc(_system(A, b)).holds
+            for _ in range(3):
+                f = 10.0 ** draws.uniform(-e, e, size=len(b))
+                assert check_ssc(_system(f[:, None] * A, f * b)).holds == holds
+
+    def test_rows_of_sizes_1e6_and_1e_6_hold(self):
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            system, _ = random_ssc_system(rng, n=2, m=15)
+            f = np.where(rng.random(15) < 0.5, 1e6, 1e-6)
+            A, b = system.coefficient_matrix(), system.rhs_vector()
+            assert check_ssc(_system(f[:, None] * A, f * b)).holds, seed
+
+    def test_margin_point_attains_the_margin(self, rng):
+        for A, b in _margin_cases(rng):
             bounded = zero_face_floor(A, b)[1] is not None
             for c in (1.0, 1e-6, 1e6):
-                A2, b2 = c * A, c * b
-                runs = [stability._ssc_margin_lp(A2, b2, seed)
-                        for seed in (_floor_seed(A2, b2), np.zeros(0, dtype=int), np.arange(m))]
-                for margin, witness in runs:
-                    _assert_witness(A2, b2, margin, witness)
-                if not bounded:
-                    # unbounded LP: the margin is that of the witness, and negative
-                    assert all(margin < -1e-9 * c for margin, _ in runs)
-                    continue
-                for margin, _ in runs[1:]:
-                    assert abs(margin - runs[0][0]) <= 1e-12 * (c + np.abs(b2).max())
+                margin, witness = stability._margin(c * A, c * b)
+                _assert_witness(c * A, c * b, margin, witness)
+                # unbounded LP: the margin is that of the witness, and negative
+                assert bounded or margin < -1e-9 * c
 
     def test_margin_matches_highs(self, rng):
         linprog = pytest.importorskip("scipy.optimize").linprog
@@ -242,17 +250,20 @@ class TestSSCMarginLP:
 
     @pytest.mark.parametrize("N,n,m", [(5000, None, None), (None, 20, 1000)])
     def test_lp_rows_stay_small(self, monkeypatch, rng, N, n, m):
-        rows = []
-        lp_solve = stability.lp_solve
+        # one floor LP on the caller's rows, one more on the normalized rows
+        # at most, each with n + 1 equality rows
+        shapes = []
+        solve = ratio.lp_solve_nonneg
 
-        def counting_lp_solve(objective, A_ub, b_ub):
-            rows.append(A_ub.shape[0])
-            return lp_solve(objective, A_ub, b_ub)
+        def counting_solve(objective, A_ub, b_ub, A_eq, b_eq):
+            shapes.append((A_ub, A_eq.shape))
+            return solve(objective, A_ub, b_ub, A_eq, b_eq)
 
-        monkeypatch.setattr(stability, "lp_solve", counting_lp_solve)
+        monkeypatch.setattr(ratio, "lp_solve_nonneg", counting_solve)
         system = demo_truncation(N) if N else random_ssc_system(rng, n=n, m=m)[0]
         assert check_ssc(system).holds
-        assert rows and max(rows) <= 100
+        eq_shape = (system.dimension + 1, len(system.labels))
+        assert 1 <= len(shapes) <= 2 and set(shapes) == {(None, eq_shape)}
 
 
 class TestDistanceFormula:
@@ -373,6 +384,8 @@ class TestAnchorRegime:
         assert rep.slice_weights.tolist() == [0.0, 1.0]
         part = BlockPartition.maximum(system.labels)
         assert coderivative_norm(system, part, [0.0]).value == 1.0
+        # x = 0.5 is a strict point at every scale
+        assert check_ssc(system).holds
 
     def test_estimate_samples_the_far_row_document(self, tmp_path, capsys):
         # the far row is tiny, not active: estimate samples instead of
