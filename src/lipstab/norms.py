@@ -6,6 +6,7 @@ euclid <-> euclid, l1 <-> linf, linf <-> l1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,9 @@ def norm_value(kind: str, x) -> float:
     if kind == "euclid":
         return float(np.linalg.norm(x))
     if kind == "l1":
-        return float(np.abs(x).sum())
+        # fsum is correctly rounded; numpy's pairwise sum can drift by a few
+        # ulps and break the triangle inequality at large magnitudes.
+        return math.fsum(np.abs(x).ravel())
     if kind == "linf":
         return float(np.abs(x).max()) if x.size else 0.0
     raise ValueError(f"unknown norm kind {kind!r}")
