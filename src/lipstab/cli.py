@@ -116,7 +116,7 @@ def _cmd_ssc(args):
 
 def _cmd_dist(args):
     doc, model, partition, labels, x = _load(args)
-    k = len(labels) if doc.is_convex else len(partition.blocks)
+    k = len(labels) if doc.is_convex else len(partition.block_labels)
     p = _parse_vector(args.p, "p") if args.p else np.zeros(k)
     if doc.is_convex:
         d = distance_convex(model, p, x, NormSpec(doc.norm))
@@ -188,10 +188,9 @@ def _cmd_linearize(args):
     doc, model, _, labels, anchor = _load(args)
     cfg = CutConfig(seed=args.seed, budget=args.budget)
     lin = linearize(model, cfg, anchor, NormSpec(doc.norm), block_labels=list(labels))
-    rows = tuple((l, tuple(a), float(b)) for l, a, b in lin.system.rows)
-    partition = tuple((j, tuple(m)) for j, m in lin.partition.blocks)
-    return _emit_document(args, SystemDocument(doc.dimension, doc.norm, rows, partition,
-                                               None, doc.truncation_note))
+    return _emit_document(args, SystemDocument(doc.dimension, doc.norm, lin.system.rows,
+                                               lin.partition.blocks, None,
+                                               doc.truncation_note))
 
 
 def _cmd_estimate(args):

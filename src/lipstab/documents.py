@@ -6,22 +6,34 @@ rejected so silent drift cannot poison stability comparisons, and the
 version tag "lipstab-v1" is required.  Serialization round-trips exactly.
 
 Rows and partition blocks are checked whole-column: a few passes over all
-rows test every type at once and build the columns.  The per-entry checker
-runs only when one of those tests fails, and only to word the error: it
-walks the entries in document order and raises for the first bad one.
+rows test every type at once.  The per-entry checker runs only when one of
+those tests fails, and only to word the error: it walks the entries in
+document order and raises for the first bad one.  A linear document keeps
+its rows as the columns a LinearSystem stores (labels, one read-only float
+matrix from a single np.array call, the rhs), and build_models hands those
+same arrays to the system; no per-row object is made on the way, and the
+row triples are derived only when something reads them.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from itertools import chain, repeat
+from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
 
 from .convex import AffineFn, MaxAffineFn, QuadraticFn, ScaledNormFn
 from .errors import RetryExhaustedError, SchemaError
-from .model import BlockPartition, LinearSystem, validate
+from .model import (
+    BlockPartition,
+    Immutable,
+    LinearSystem,
+    coefficient_column,
+    read_only,
+    row_columns,
+    validated,
+)
 from .norms import KINDS, NormSpec
 
 VERSION = "lipstab-v1"
@@ -36,20 +48,55 @@ _BLOCK_KEYS = ("block", "labels")
 _NUMBER_TYPES = {int, float}
 
 
-@dataclass(frozen=True)
-class SystemDocument:
-    """Verbatim document contents; field-for-field round-trip guaranteed."""
+class SystemDocument(Immutable):
+    """Verbatim document contents; field-for-field round-trip guaranteed.
 
-    dimension: int
-    norm: str
-    rows: tuple | None = None
-    partition: tuple | None = None
-    convex: tuple | None = None
-    truncation_note: str | None = None
+    A linear document stores its rows as ``columns``: the labels, the
+    coefficients (one read-only float matrix, or one read-only array per row
+    when the rows are not ``dimension`` long) and the read-only rhs vector,
+    as `model.row_columns` makes them.  ``rows``, the (label, coefficient
+    tuple, rhs) triples of Python floats, is derived from the columns when
+    first read, and is None for a convex document.  The constructor takes
+    ``rows`` as such triples and turns them into the columns once.
+    """
+
+    def __init__(self, dimension: int, norm: str, rows=None, partition=None,
+                 convex=None, truncation_note=None):
+        columns = None if rows is None else row_columns(rows, dimension)
+        self._store(dimension, norm, columns, partition, convex, truncation_note)
+
+    @classmethod
+    def from_columns(cls, dimension, norm, columns, partition=None, convex=None,
+                     truncation_note=None) -> "SystemDocument":
+        doc = object.__new__(cls)
+        doc._store(dimension, norm, columns, partition, convex, truncation_note)
+        return doc
+
+    def _store(self, dimension, norm, columns, partition, convex, truncation_note):
+        self.__dict__.update(dimension=dimension, norm=norm, columns=columns,
+                             partition=partition, convex=convex,
+                             truncation_note=truncation_note)
+
+    @cached_property
+    def rows(self) -> tuple | None:
+        if self.columns is None:
+            return None
+        labels, coeffs, rhs = self.columns
+        lists = coeffs.tolist() if isinstance(coeffs, np.ndarray) else [a.tolist() for a in coeffs]
+        return tuple(zip(labels, map(tuple, lists), rhs.tolist()))
+
+    def _fields(self) -> tuple:
+        return (self.dimension, self.norm, self.rows, self.partition, self.convex,
+                self.truncation_note)
+
+    def __eq__(self, other):
+        if type(other) is not SystemDocument:
+            return NotImplemented
+        return self._fields() == other._fields()
 
     def to_dict(self) -> dict:
         out = {"version": VERSION, "dimension": self.dimension, "norm": self.norm}
-        if self.rows is not None:
+        if self.columns is not None:
             out["rows"] = [
                 {"label": l, "a": list(a), "b": b} for l, a, b in self.rows
             ]
@@ -99,7 +146,8 @@ def _vector(v, path, dim=None):
 
 def _columns(objs, keys):
     """One list per key when every entry is an object with exactly those keys."""
-    if set(map(type, objs)) == {dict} and set().union(*objs) <= set(keys):
+    # an entry with len(keys) entries that has every key has no other
+    if set(map(type, objs)) == {dict} and set(map(len, objs)) == {len(keys)}:
         try:
             return [list(map(itemgetter(key), objs)) for key in keys]
         except KeyError:  # some entry lacks a key
@@ -107,22 +155,22 @@ def _columns(objs, keys):
     return None
 
 
-def _linear_rows(rows):
-    """(label, coefficients, rhs) triples, with every int entry made a float.
+def _linear_rows(rows, dim):
+    """The rows' (labels, coefficients, rhs) columns, as `row_columns` makes them.
 
     The rows are checked whole-column; only when a check fails does the
     per-row loop run, to raise the SchemaError of the first bad entry.
+    The float conversion of int entries is np.array's, which rounds as
+    float() does.
     """
     columns = _columns(rows, _ROW_KEYS)
     if columns is not None:
         labels, coeffs, rhs = columns
         if (set(map(type, labels)) == {str} and set(map(type, coeffs)) == {list}
-                and set(map(type, rhs)) <= _NUMBER_TYPES):
-            entry_types = set(map(type, chain.from_iterable(coeffs)))
-            if entry_types <= _NUMBER_TYPES:
-                if int in entry_types:
-                    coeffs = map(map, repeat(float), coeffs)
-                return tuple(zip(labels, map(tuple, coeffs), map(float, rhs)))
+                and set(map(type, rhs)) <= _NUMBER_TYPES
+                and set(map(type, chain.from_iterable(coeffs))) <= _NUMBER_TYPES):
+            return (tuple(labels), coefficient_column(coeffs, dim),
+                    read_only(np.array(rhs, dtype=float)))
     for i, row in enumerate(rows):
         path = f"$.rows[{i}]"
         _expect(isinstance(row, dict), path, "expected an object")
@@ -186,11 +234,11 @@ def parse_document(text: str) -> SystemDocument:
     _expect(not (has_convex and "partition" in raw), "$.partition",
             "partition applies to linear documents only")
 
-    rows = None
+    columns = None
     if has_rows:
         _expect(isinstance(raw["rows"], list) and raw["rows"], "$.rows",
                 "expected a nonempty list")
-        rows = _linear_rows(raw["rows"])
+        columns = _linear_rows(raw["rows"], dim)
 
     partition = None
     if "partition" in raw:
@@ -216,8 +264,8 @@ def parse_document(text: str) -> SystemDocument:
             convex.append(_freeze(entry))
         convex = tuple(convex)
 
-    return SystemDocument(dim, norm, rows, partition, convex,
-                          raw.get("truncation_note"))
+    return SystemDocument.from_columns(dim, norm, columns, partition, convex,
+                                       raw.get("truncation_note"))
 
 
 def _freeze(entry: dict):
@@ -264,13 +312,13 @@ def build_models(doc: SystemDocument):
     convex documents imply one block per function.
     """
     norm = NormSpec(doc.norm)
-    if doc.rows is not None:
-        system = LinearSystem(doc.dimension, doc.rows, norm)
+    if doc.columns is not None:
+        system = LinearSystem.from_columns(doc.dimension, *doc.columns, norm)
         if doc.partition is not None:
             partition = BlockPartition(doc.partition)
         else:
             partition = BlockPartition.maximum(system.labels)
-        validate(system, partition).raise_if_rejected()
+        validated(system, partition)
         return system, partition, None
 
     fs = []
@@ -336,10 +384,9 @@ def _demo_random(n, m, seed, retries: int = 50) -> SystemDocument:
         A = rng.normal(size=(m, n))
         xhat = rng.normal(size=n) * 0.5
         b = A @ xhat + rng.uniform(0.3, 2.0, size=m)
-        rows = tuple((f"t{i}", tuple(A[i]), float(b[i])) for i in range(m))
-        system = LinearSystem(n, rows)
-        if check_ssc(system).holds:
-            return SystemDocument(n, "euclid", rows, None, None, None)
+        columns = tuple(f"t{i}" for i in range(m)), coefficient_column(A, n), read_only(b)
+        if check_ssc(LinearSystem.from_columns(n, *columns)).holds:
+            return SystemDocument.from_columns(n, "euclid", columns)
     raise RetryExhaustedError(f"no SSC-holding random system after {retries} draws")
 
 

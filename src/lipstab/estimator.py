@@ -113,7 +113,7 @@ def empirical_lip(system: LinearSystem, partition: BlockPartition, anchor,
     A = system.coefficient_matrix()
     b = system.rhs_vector()
     assign = block_assignment(system, partition)
-    n_blocks = len(partition.blocks)
+    n_blocks = len(partition.block_labels)
     n = system.dimension
     x_kind = system.norm.kind
     # rows sorted by block, so each block's residual sup is one reduceat segment

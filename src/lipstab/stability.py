@@ -283,14 +283,14 @@ def coderivative_member(system: LinearSystem, partition: BlockPartition, anchor,
     validated(system, partition)
     anchor = _require_anchor(system, anchor, tol)
     p_star = np.asarray(p_star, dtype=float)
-    if p_star.shape != (len(partition.blocks),):
+    if p_star.shape != (len(partition.block_labels),):
         raise ValueError("p_star must carry one value per block")
     x_star = np.asarray(x_star, dtype=float)
     A = system.coefficient_matrix()
     b = system.rhs_vector()
     m = A.shape[0]
     assign = block_assignment(system, partition)
-    n_blocks = len(partition.blocks)
+    n_blocks = len(partition.block_labels)
 
     eq_rows = np.vstack([np.arange(n_blocks)[:, None] == assign, A.T, b])
     eq_rhs = np.concatenate([-p_star, -x_star, [-float(x_star @ anchor)]])
@@ -333,7 +333,7 @@ def coderivative_norm(system: LinearSystem, partition: BlockPartition, anchor,
     mu = np.zeros(A.shape[0])
     if lip.slice_weights is not None:
         mu = lip.slice_weights / lip.min_norm_value
-    cert = _certificate(mu, block_assignment(system, partition), len(partition.blocks),
+    cert = _certificate(mu, block_assignment(system, partition), len(partition.block_labels),
                         A, system.rhs_vector(), anchor)
     return CoderivNormReport(lip.projection_value, cert, lip.bound)
 

@@ -1,10 +1,11 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lipstab import documents
+from lipstab import documents, model
 from lipstab.documents import (
     TRUNCATION_NOTE,
     SystemDocument,
@@ -16,8 +17,16 @@ from lipstab.documents import (
     write_csv,
 )
 from lipstab.errors import SchemaError, ValidationError
-from lipstab.model import LinearSystem
-from lipstab.stability import check_ssc
+from lipstab.model import (
+    BlockPartition,
+    LinearSystem,
+    Perturbation,
+    characteristic_generators,
+    perturbed_system,
+    validate,
+)
+from lipstab.norms import NormSpec
+from lipstab.stability import check_ssc, coderivative_norm, eps_active, lip_bound
 
 MINIMAL = """
 {
@@ -321,3 +330,216 @@ def test_valid_rows_never_reach_the_per_entry_checker(monkeypatch):
     with pytest.raises(SchemaError):  # the spies do see the error path
         parse_document(text.replace('"b": 1.0', '"b": true', 1))
     assert calls
+
+
+def _oracle_partition(raw_blocks):
+    """The per-block checker and builder, frozen like _oracle_rows."""
+    blocks = []
+    for i, blk in enumerate(raw_blocks):
+        path = f"$.partition[{i}]"
+        if not isinstance(blk, dict):
+            raise SchemaError(path, "expected an object")
+        for key in blk:
+            if key not in ("block", "labels"):
+                raise SchemaError(f"{path}.{key}", "unknown field (strict schema)")
+        if not isinstance(blk.get("block"), str):
+            raise SchemaError(f"{path}.block", "expected a string block label")
+        labels = blk.get("labels")
+        if not (isinstance(labels, list) and labels and all(isinstance(t, str) for t in labels)):
+            raise SchemaError(f"{path}.labels", "expected a nonempty list of strings")
+        blocks.append((blk["block"], tuple(labels)))
+    return tuple(blocks)
+
+
+def _bits(v):
+    return (type(v), struct.pack("<d", v))
+
+
+def _same_float_rows(got, want):
+    """Equal labels, and float entries of the same type and bits (NaN too)."""
+    assert len(got) == len(want)
+    for (l1, a1, b1), (l2, a2, b2) in zip(got, want):
+        assert l1 == l2 and type(a1) is type(a2) and _bits(b1) == _bits(b2)
+        assert list(map(_bits, a1)) == list(map(_bits, a2))
+
+
+def _same_array(x, y):
+    assert x.dtype == y.dtype == float and x.shape == y.shape
+    assert x.tobytes() == y.tobytes()
+    assert not x.flags.writeable and not y.flags.writeable
+
+
+def _same_system(system, oracle):
+    """Columns and derived rows match bit for bit, views and all."""
+    assert system.labels == oracle.labels and type(system.labels) is tuple
+    _same_array(system.rhs_vector(), oracle.rhs_vector())
+    try:
+        matrix = oracle.coefficient_matrix()
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as err:
+            system.coefficient_matrix()
+        assert str(err.value) == str(exc)
+        matrix = None
+    else:
+        _same_array(system.coefficient_matrix(), matrix)
+    assert len(system.rows) == len(oracle.rows)
+    for (l1, a1, b1), (l2, a2, b2) in zip(system.rows, oracle.rows):
+        assert l1 == l2 and _bits(b1) == _bits(b2)
+        _same_array(a1, a2)
+        if matrix is not None:
+            assert a1.base is system.coefficient_matrix() and a2.base is matrix
+
+
+_LABELS = ("a", "b", "c", "t0", "")
+_ENTRIES = st.one_of(st.integers(-2**70, 2**70), st.floats(),
+                     st.sampled_from([0, -0.0, 1e308, -1e308, float("nan"),
+                                      float("inf"), float("-inf")]))
+_BAD_ENTRIES = st.one_of(st.booleans(), st.text(max_size=1), st.none())
+
+
+@st.composite
+def _linear_documents(draw):
+    """Document text with int, -0.0, 1e308, NaN and Infinity entries,
+    repeated labels, ragged or misfit rows, a few bool or string entries,
+    and no partition (the maximum one) or a given one."""
+    dim = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 6))
+    width = draw(st.sampled_from([dim, dim, dim, dim + 1, 0, None]))  # None: ragged
+    rows = []
+    for _ in range(m):
+        k = draw(st.integers(0, dim + 1)) if width is None else width
+        rows.append({"label": draw(st.sampled_from(_LABELS)),
+                     "a": draw(st.lists(_ENTRIES, min_size=k, max_size=k)),
+                     "b": draw(_ENTRIES)})
+    spoil = draw(st.sampled_from(["none"] * 6 + ["a", "b", "label"]))
+    row = rows[draw(st.integers(0, m - 1))]
+    if spoil == "a" and row["a"]:
+        row["a"][draw(st.integers(0, len(row["a"]) - 1))] = draw(_BAD_ENTRIES)
+    elif spoil == "b":
+        row["b"] = draw(_BAD_ENTRIES)
+    elif spoil == "label":
+        row["label"] = draw(st.one_of(st.integers(0, 3), st.booleans()))
+    doc = {"version": "lipstab-v1", "dimension": dim,
+           "norm": draw(st.sampled_from(["euclid", "l1", "linf"])), "rows": rows}
+    form = draw(st.sampled_from(["maximum", "given", "given", "bad"]))
+    if form != "maximum":
+        doc["partition"] = [
+            {"block": draw(st.sampled_from(["B0", "B1", "B2"])),
+             "labels": draw(st.lists(st.sampled_from(_LABELS), min_size=1, max_size=3))}
+            for _ in range(draw(st.integers(1, 3)))]
+        if form == "bad":
+            doc["partition"][-1]["labels"] = draw(st.sampled_from([[], [1], ["a", None]]))
+    return json.dumps(doc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_linear_documents())
+def test_columns_agree_with_the_triple_path(text):
+    """Parse and build through the columns against the per-entry parse and the
+    triple constructor, with the maximum partition written out as 1-tuples."""
+    raw = json.loads(text)
+    try:
+        triples = _oracle_rows(raw["rows"])
+        blocks = _oracle_partition(raw["partition"]) if "partition" in raw else None
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as err:
+            parse_document(text)
+        assert str(err.value) == str(exc)
+        return
+    doc = parse_document(text)
+    _same_float_rows(doc.rows, triples)
+    assert doc.partition == blocks
+    expected_doc = SystemDocument(raw["dimension"], raw["norm"], triples, blocks)
+    assert serialize_document(doc) == serialize_document(expected_doc)
+
+    norm = NormSpec(raw["norm"])
+    oracle = LinearSystem(raw["dimension"], triples, norm)
+    oracle_part = (BlockPartition(blocks) if blocks is not None
+                   else BlockPartition(tuple((t, (t,)) for t in oracle.labels)))
+    issues = validate(oracle, oracle_part).issues
+    try:
+        system, partition, _ = build_models(doc)
+    except ValidationError as err:
+        assert issues and str(err) == str(ValidationError(issues))
+        system = LinearSystem.from_columns(doc.dimension, *doc.columns, norm)
+        partition = (BlockPartition(doc.partition) if doc.partition is not None
+                     else BlockPartition.maximum(system.labels))
+        assert validate(system, partition).issues == issues
+    else:
+        assert not issues
+    _same_system(system, oracle)
+    assert partition.blocks == oracle_part.blocks
+    assert partition.block_of() == oracle_part.block_of()
+    if not issues:
+        keep = system.labels[::2]
+        _same_system(system.subsystem(keep), oracle.subsystem(keep))
+
+
+class TestColumnsFromParseToSolver:
+    """The paper document reaches the solvers with no per-row objects."""
+
+    @pytest.fixture
+    def paper5000(self):
+        return serialize_document(demo_generate("paper-example", N=5000))
+
+    def test_no_row_triples_or_singleton_blocks_are_built(self, paper5000, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__} built its per-row objects")
+
+        for cls, name in ((LinearSystem, "rows"), (BlockPartition, "blocks"),
+                          (SystemDocument, "rows")):
+            monkeypatch.setattr(cls, name, property(refuse))
+        system, partition, _ = build_models(parse_document(paper5000))
+        anchor = np.zeros(2)
+        assert lip_bound(system, anchor).bound == pytest.approx(1 / np.sqrt(2))
+        assert check_ssc(system).holds
+        assert eps_active(system, anchor, 0.5).matches_full
+        assert coderivative_norm(system, partition, anchor).value == pytest.approx(
+            1 / np.sqrt(2))
+
+    def test_each_object_is_validated_once(self, paper5000, monkeypatch):
+        calls = []
+        real = model.validate
+        monkeypatch.setattr(model, "validate",
+                            lambda *args: calls.append(args) or real(*args))
+        system, partition, _ = build_models(parse_document(paper5000))
+        anchor = np.zeros(2)
+        lip_bound(system, anchor)
+        check_ssc(system)
+        coderivative_norm(system, partition, anchor)
+        eps_active(system, anchor, 0.5)
+        p = Perturbation.zero(partition)
+        perturbed_system(system, partition, p)
+        characteristic_generators(system, partition, p)
+        # build_models once, and the eps-active subsystem once
+        assert len(calls) == 2
+        assert calls[0][0] is system and calls[0][1] is partition
+        assert calls[1][0] is not system and calls[1][1] is None
+
+    def test_rows_read_directly_are_the_triples(self, paper5000):
+        doc = parse_document(paper5000)
+        expect = tuple((str(t), ((-1.0) ** t * t, 0.0), 1.0) for t in range(1, 5001))
+        _same_float_rows(doc.rows, expect + (("0", (1.0, 1.0), 0.0),))
+        system, partition, _ = build_models(doc)
+        A, b = system.coefficient_matrix(), system.rhs_vector()
+        assert system.rows is system.rows and len(system.rows) == 5001
+        for i, (label, a, rhs) in enumerate(system.rows):
+            assert label == system.labels[i] and type(rhs) is float and rhs == b[i]
+            assert a.base is A and not a.flags.writeable
+        assert partition.blocks == tuple((t, (t,)) for t in system.labels)
+
+    def test_linearize_prints_the_triples(self, tmp_path, capsys):
+        from lipstab.cli import run_cli
+        from lipstab.convex import CutConfig, linearize
+
+        doc = demo_generate("convex-square-shifted")
+        path = tmp_path / "sq.json"
+        path.write_text(serialize_document(doc))
+        assert run_cli(["linearize", "--system", str(path), "--anchor", "1",
+                        "--budget", "5"]) == 0
+        fs, _, labels = build_models(doc)
+        lin = linearize(fs, CutConfig(budget=5), np.array([1.0]), block_labels=list(labels))
+        rows = tuple((l, tuple(a), float(b)) for l, a, b in lin.system.rows)
+        blocks = tuple((j, tuple(m)) for j, m in lin.partition.blocks)
+        expected = serialize_document(SystemDocument(1, "euclid", rows, blocks))
+        assert capsys.readouterr().out == expected

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import demo_truncation, random_partition, random_ssc_system
+from lipstab import model
 from lipstab.errors import ValidationError
 from lipstab.model import (
     FEAS_TOL,
@@ -143,6 +144,58 @@ class TestOwnedArrays:
         c[0, 0], d[0] = 2.0, 3.0
         assert gens.coefficients.tolist() == [[1.0, 0.0]] and gens.offsets.tolist() == [0.0]
         assert not gens.coefficients.flags.writeable and not gens.offsets.flags.writeable
+
+
+class TestColumns:
+    def test_objects_refuse_assignment(self):
+        system = two_row_system()
+        part = BlockPartition.maximum(system.labels)
+        for obj, name in ((system, "rows"), (system, "dimension"), (part, "blocks")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, ())
+
+    def test_maximum_equals_its_singletons_written_out(self):
+        labels = ("a", "b", "a", "")
+        part = BlockPartition.maximum(labels)
+        explicit = BlockPartition(tuple((t, (t,)) for t in labels))
+        assert part.block_of() == explicit.block_of()
+        assert part.block_labels == labels and part.blocks == explicit.blocks
+
+    def test_subsystem_and_perturbed_system_index_the_columns(self):
+        system = LinearSystem(2, (("a", [1.0, 0.0], 1.0), ("b", [0.0, 1.0], 2.0),
+                                  ("c", [1.0, 1.0], 3.0)))
+        sub = system.subsystem(["c", "a"])
+        assert sub.labels == ("a", "c") and sub.rhs_vector().tolist() == [1.0, 3.0]
+        assert sub.coefficient_matrix().tolist() == [[1.0, 0.0], [1.0, 1.0]]
+        assert not sub.coefficient_matrix().flags.writeable
+        part = BlockPartition((("x", ("a", "c")), ("y", ("b",))))
+        pert = perturbed_system(system, part, Perturbation((0.5, -1.0)))
+        assert pert.rhs_vector().tolist() == [1.5, 1.0, 3.5]
+        assert pert.labels is system.labels
+        assert pert.coefficient_matrix() is system.coefficient_matrix()
+        assert not pert.rhs_vector().flags.writeable
+
+    def test_validated_remembers_acceptance_only(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(model, "validate",
+                            lambda *args, real=model.validate: calls.append(args)
+                            or real(*args))
+        system = two_row_system()
+        part = BlockPartition.maximum(system.labels)
+        for _ in range(3):
+            model.validated(system, part)
+            model.validated(system)
+        assert len(calls) == 1
+        short = BlockPartition((("b1", ("t1",)),))
+        for _ in range(2):  # a rejection is checked again at every call
+            with pytest.raises(ValidationError, match="does not cover"):
+                model.validated(system, short)
+        assert len(calls) == 3
+        # the partition was accepted with other labels, so it is checked again
+        other = LinearSystem(2, (("t1", [1.0, 0.0], 0.0), ("t3", [0.0, 1.0], 0.0)))
+        model.validated(other)
+        with pytest.raises(ValidationError, match="missing"):
+            model.validated(other, part)
 
 
 class TestResidualInverseDistance:
