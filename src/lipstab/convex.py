@@ -25,7 +25,7 @@ from .norms import NormSpec, norm_value
 from .solvers.projection import project_polyhedron
 from .solvers.simplex import lp_solve_nonneg
 from .stability import REGIME_SLATER, _anchor_vector, lip_bound
-from .streams import streams
+from .streams import normal_rows
 
 FY_TOL = 1e-9
 _MAX_KINK_COORDS = 16  # an l1 kink's subdifferential has 2^k vertices; k is capped here
@@ -256,8 +256,7 @@ def _cut_points(anchor, cfg: CutConfig, block_idx: int, dimension: int,
     while count < budget + 1:
         stop = i + budget + 1 - count
         # point i draws from the stream default_rng((seed, 0, block, i))
-        D = np.array([rng.normal(size=dimension)
-                      for rng in streams((cfg.seed, 0, block_idx), range(i, stop))])
+        D = normal_rows((cfg.seed, 0, block_idx), range(i, stop), dimension)
         # row-wise dot products: np.linalg.norm's own sum on every row
         nrm = np.sqrt((D[:, None, :] @ D[:, :, None])[:, 0, 0])
         ok = nrm > 1e-12

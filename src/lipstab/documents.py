@@ -133,7 +133,10 @@ def _check_keys(obj, allowed, path):
 def _number(v, path):
     _expect(isinstance(v, (int, float)) and not isinstance(v, bool), path,
             "expected a number")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise SchemaError(path, "number beyond the float range") from None
 
 
 def _vector(v, path, dim=None):
@@ -161,7 +164,7 @@ def _linear_rows(rows, dim):
     The rows are checked whole-column; only when a check fails does the
     per-row loop run, to raise the SchemaError of the first bad entry.
     The float conversion of int entries is np.array's, which rounds as
-    float() does.
+    float() does and, like it, overflows on an int beyond the float range.
     """
     columns = _columns(rows, _ROW_KEYS)
     if columns is not None:
@@ -169,8 +172,11 @@ def _linear_rows(rows, dim):
         if (set(map(type, labels)) == {str} and set(map(type, coeffs)) == {list}
                 and set(map(type, rhs)) <= _NUMBER_TYPES
                 and set(map(type, chain.from_iterable(coeffs))) <= _NUMBER_TYPES):
-            return (tuple(labels), coefficient_column(coeffs, dim),
-                    read_only(np.array(rhs, dtype=float)))
+            try:
+                return (tuple(labels), coefficient_column(coeffs, dim),
+                        read_only(np.array(rhs, dtype=float)))
+            except OverflowError:
+                pass
     for i, row in enumerate(rows):
         path = f"$.rows[{i}]"
         _expect(isinstance(row, dict), path, "expected an object")

@@ -81,6 +81,36 @@ def random_partition(rng, labels, k):
     return BlockPartition(tuple(blocks))
 
 
+# PCG64 probe states: a stream whose raw word at a chosen position is chosen
+M = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's multiplier
+M_INV = pow(M, -1, 1 << 128)
+MASK64, MASK128 = (1 << 64) - 1, (1 << 128) - 1
+INC = 2 * 0x5DEECE66D + 1
+
+
+def probe_key(word: int, position: int = 0, inc: int = INC) -> np.ndarray:
+    """A (4, 1) key whose stream's raw word at ``position`` is ``word``.
+
+    After position + 1 steps the state is the word itself: its high half is
+    0, so XSL-RR outputs it unrotated.  Each step back is (s - inc)·M^-1.
+    """
+    state = word
+    for _ in range(position + 1):
+        state = (state - inc) * M_INV & MASK128
+    return np.array([[state >> 64], [state & MASK64], [inc >> 64], [inc & MASK64]],
+                    dtype=np.uint64)
+
+
+def generator(key) -> np.random.Generator:
+    """A fresh generator in the state of a (4, 1) key."""
+    s_hi, s_lo, i_hi, i_lo = key[:, 0].tolist()
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+                               "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

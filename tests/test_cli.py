@@ -169,6 +169,17 @@ class TestExitCodes:
         code, _ = run(["ssc"], stdin_text="not json", capsys=capsys)
         assert code == 2
 
+    def test_int_beyond_the_float_range(self, tmp_path, capsys):
+        doc = {"version": "lipstab-v1", "dimension": 2, "norm": "euclid",
+               "rows": [{"label": "a", "a": [1, 0], "b": 1},
+                        {"label": "b", "a": [0, 1], "b": 10**400}]}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["ssc"], ["lip", "--anchor", "0,0"]):
+            code = run_cli(argv + ["--system", str(path)])
+            assert code == 2
+            assert "$.rows[1].b: number beyond the float range" in capsys.readouterr().err
+
     def test_infeasible_anchor(self, demo3, capsys):
         code, _ = run(["lip", "--system", demo3, "--anchor", "9,9"],
                       capsys=capsys)

@@ -196,6 +196,10 @@ BAD_ROWS = [
     ("a not a list", lambda r: {**r, "a": 1.0}, "{p}.a: expected a list of numbers"),
     ("row not an object", lambda r: [r["label"], r["a"], r["b"]],
      "{p}: expected an object"),
+    ("int beyond the floats in a", lambda r: {**r, "a": [1.0, 10**400]},
+     "{p}.a[1]: number beyond the float range"),
+    ("b an int beyond the floats", lambda r: {**r, "b": -(2**1024)},
+     "{p}.b: number beyond the float range"),
 ]
 
 
@@ -227,6 +231,29 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError) as err:
             parse_document(_linear_text(rows))
         assert str(err.value) == "$.rows[1].b: expected a number"
+
+    def test_largest_float_int_parses(self):
+        big = int(np.finfo(float).max)
+        doc = parse_document(_linear_text([{"label": "t", "a": [big, -big], "b": big}]))
+        assert doc.rows == (("t", (float(big), -float(big)), float(big)),)
+
+    @pytest.mark.parametrize("entry,field", [
+        ({"class": "affine", "c": [1.0, 0.0], "d": 10**400}, "d"),
+        ({"class": "quadratic", "Q": [[2.0, 0.0], [0.0, 10**400]], "c": [0.0, 0.0],
+          "r": 0.0}, "Q[1][1]"),
+        ({"class": "max_affine", "pieces": [{"c": [1.0, 0.0], "d": 0.0},
+                                            {"c": [-(10**400), 0.0], "d": 0.0}]},
+         "pieces[1].c[0]"),
+        ({"class": "scaled_norm", "kappa": 10**400, "shift": [0.0, 0.0],
+          "offset": -1.0}, "kappa"),
+    ], ids=["affine", "quadratic", "max_affine", "scaled_norm"])
+    def test_convex_parameter_beyond_the_floats(self, entry, field):
+        fine = {"block": "a", "class": "affine", "c": [1.0, 0.0], "d": 0.5}
+        text = json.dumps({"version": "lipstab-v1", "dimension": 2, "norm": "euclid",
+                           "convex": [fine, {"block": "f", **entry}]})
+        with pytest.raises(SchemaError) as err:
+            parse_document(text)
+        assert str(err.value) == f"$.convex[1].{field}: number beyond the float range"
 
     def test_int_entries_parse_to_floats(self):
         text = _linear_text([{"label": "t", "a": [1, 0], "b": 2}])

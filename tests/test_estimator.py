@@ -7,11 +7,14 @@ from scipy.optimize import minimize
 from conftest import (
     box_system,
     demo_truncation,
+    generator,
+    probe_key,
     random_boundary_instance,
     random_partition,
     ssc_failing_feasible,
 )
 from lipstab import estimator
+from lipstab import streams as streams_module
 from lipstab.errors import InfeasibleRegionError
 from lipstab.estimator import SamplingConfig, empirical_lip, partition_compare
 from lipstab.model import BlockPartition, LinearSystem, block_assignment, block_residual_sup
@@ -20,6 +23,7 @@ from lipstab.solvers import projection
 from lipstab.solvers.projection import project_polyhedron
 from lipstab.solvers.simplex import StatusKind, lp_solve
 from lipstab.stability import lip_bound
+from lipstab.streams import seeded
 
 
 def test_config_validation():
@@ -346,3 +350,124 @@ def test_chunked_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+# --- draws decoded from raw words against numpy's own, call by call ---
+
+def _reference_point(rng, x_kind, anchor, radius, n_blocks):
+    """(x, p) of one sample drawn call by call, as _reference_samples does."""
+    x = np.asarray(anchor, dtype=float)
+    if x_kind is not None:
+        dx = _sphere_direction(rng, x_kind, len(x))
+        x = x + (radius * rng.uniform() ** (1.0 / len(x))) * dx
+    dp = _sphere_direction(rng, "linf", n_blocks)
+    return x, (radius * rng.uniform() ** (1.0 / n_blocks)) * dp
+
+
+def _forced_keys(x_kind, n, n_blocks):
+    """Probe keys whose first slow-path normal or Lemire rejection is chosen.
+
+    Returns (keys, must): ``must`` marks the keys whose sample cannot be
+    decoded from one word per draw.
+    """
+    ki = streams_module._ziggurat()[1]
+    rejects_p = 2**32 % n_blocks > 0 if n_blocks > 1 else False
+    chosen = []
+    if x_kind == "euclid":
+        chosen += [((12345 << 9) | 1, 0, True),                    # layer 1: ki = 0
+                   ((int(ki[7]) << 9) | 7, n - 1, True),           # rabs = ki
+                   (((2**52 - 1) << 9) | 1 << 8, n - 1, True),     # layer 0, the tail
+                   (((2**52 - 1) << 9) | 5, n - 1, True)]
+        p_word = n + 1 + n_blocks
+    elif x_kind == "linf":
+        rejects_x = n > 1 and 2**32 % n > 0
+        if n > 1:  # x's pinned index takes the low half, p's the high half
+            chosen += [(123456789 << 32, n, rejects_x), (987654321, n, rejects_p)]
+            p_word = None
+        else:
+            p_word = n + 2 + n_blocks
+    else:
+        p_word = n_blocks
+    if p_word is not None and n_blocks > 1:
+        chosen.append((0xABCDEF << 32, p_word, rejects_p))
+    keys = np.concatenate([probe_key(word, position) for word, position, _ in chosen]
+                          + [seeded((3, 1), range(12))], axis=1)
+    must = np.array([m for *_, m in chosen] + [False] * 12)
+    return keys, must
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 7, 40], ids=["1", "2", "7", "40"])
+@pytest.mark.parametrize("x_kind,n", [("euclid", 3), ("euclid", 5), ("linf", 1),
+                                      ("linf", 3), (None, 2)],
+                         ids=["euclid3", "euclid5", "linf1", "linf3", "fixed-x"])
+def test_forced_slow_paths_match_numpy(x_kind, n, n_blocks, monkeypatch):
+    keys, must = _forced_keys(x_kind, n, n_blocks)
+    redrawn = []
+    real = estimator.generators
+
+    def spy(k):
+        redrawn.extend(map(tuple, k.T.tolist()))
+        return real(k)
+    monkeypatch.setattr(estimator, "generators", spy)
+    anchor = np.linspace(-0.5, 0.5, n)
+    X, P = estimator._chunk_points(keys, 0.1, anchor, x_kind, n_blocks)
+    for i in range(keys.shape[1]):
+        x, p = _reference_point(generator(keys[:, i:i + 1]), x_kind, anchor, 0.1, n_blocks)
+        assert X[i].tobytes() == x.tobytes() and P[i].tobytes() == p.tobytes(), i
+    assert {tuple(keys[:, i].tolist()) for i in np.flatnonzero(must)} <= set(redrawn)
+    assert len(redrawn) < keys.shape[1]
+
+
+def _slow_normal_samples(seed, r_idx, count, n):
+    """Samples whose normal(size=n) reads more than n words of its stream."""
+    slow = []
+    for i in range(count):
+        rng, twin = np.random.default_rng((seed, r_idx, i)), np.random.default_rng((seed, r_idx, i))
+        rng.normal(size=n)
+        twin.bit_generator.random_raw(n)
+        if rng.bit_generator.state != twin.bit_generator.state:
+            slow.append(i)
+    return slow
+
+
+def test_fast_path_makes_no_generator_call(rng, monkeypatch):
+    # only samples that leave the one-word paths reach a generator: none for
+    # linf and fixed x, the slow-normal ones for euclid; raw_words never does
+    redrawn = []
+    real = estimator.generators
+
+    def spy(keys):
+        redrawn.extend(map(tuple, keys.T.tolist()))
+        return real(keys)
+
+    def no_generator(keys):
+        raise AssertionError("raw_words drew per key")
+    monkeypatch.setattr(estimator, "generators", spy)
+    monkeypatch.setattr(streams_module, "generators", no_generator)
+    base, xbar = random_boundary_instance(rng, n=4, m=12)
+    part = random_partition(rng, base.labels, 3)
+    cfg = SamplingConfig(radii=(1e-1, 1e-2), samples_per_radius=300, seed=21)
+    for kind, extra in (("linf", {}), ("euclid", {"perturb_anchor": False})):
+        system = LinearSystem(4, base.rows, NormSpec(kind))
+        empirical_lip(system, part, xbar, SamplingConfig(**{**cfg.__dict__, **extra}))
+        assert redrawn == []
+    empirical_lip(base, part, xbar, cfg)
+    expected = [tuple(col) for r_idx in range(2)
+                for col in seeded((21, r_idx), _slow_normal_samples(21, r_idx, 300, 4)).T.tolist()]
+    assert redrawn == expected and 0 < len(expected) < 60
+
+
+def test_partition_compare_decides_the_regime_once(rng, monkeypatch):
+    system, xbar = random_boundary_instance(rng, n=3, m=10)
+    part = random_partition(rng, system.labels, 2)
+    cfg = SamplingConfig(radii=(1e-1, 1e-2), samples_per_radius=50, seed=3)
+    singles = [empirical_lip(system, p, xbar, cfg)
+               for p in (BlockPartition.minimum(system.labels), part,
+                         BlockPartition.maximum(system.labels))]
+    calls = []
+    real = estimator.lip_bound
+    monkeypatch.setattr(estimator, "lip_bound", lambda *a: calls.append(a) or real(*a))
+    rep = partition_compare(system, [part], xbar, cfg)
+    assert len(calls) == 1
+    assert [r for _, r in rep.entries] == singles
+    assert rep.lip == real(system, xbar).bound

@@ -8,7 +8,7 @@ import itertools
 import numpy as np
 import pytest
 
-from lipstab.streams import pcg64_states, streams
+from lipstab.streams import generators, pcg64_states, seeded
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5)  # one, two and three 32-bit words
 SAMPLES = (0, 1, 2**31, 2**32 - 1)
@@ -51,9 +51,9 @@ def test_negative_entries_raise_like_numpy():
 
 
 def test_streams_draw_what_default_rng_draws():
-    # more keys than one state block, so the block boundary is crossed
+    # more keys than the estimator seeds at once
     count = 1100
-    for i, rng in enumerate(streams((2**32, 1), range(count))):
+    for i, rng in enumerate(generators(seeded((2**32, 1), range(count)))):
         if i % 7 == 0 or i >= 1020:
             ref = np.random.default_rng((2**32, 1, i))
             assert np.array_equal(rng.normal(size=3), ref.normal(size=3))
